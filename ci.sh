@@ -47,10 +47,12 @@ go test -race -short -run 'Fault|Chaos' . ./internal/...
 # the race detector.
 go test -race -short -run 'Elastic|Drain|Join|Migrat|Autoscale|Dormant|Retire' ./internal/...
 # Scheduler gate, mirroring the fault gate: the multi-tenant job service's
-# policy goldens, scheduling invariants, cross-worker determinism battery
-# and committed fuzz corpus under the race detector (the planning pool
-# runs concurrently at workers 4 and 8).
-go test -race -run 'Policy|Golden|Starvation|Inversion|Admission|Determinism|Fuzz' ./internal/jobsvc
+# policy goldens, scheduling invariants, cross-worker determinism battery,
+# committed fuzz corpus, the service-vs-engine differential test and the
+# drift tests (model features that must hold on the service path too)
+# under the race detector (the planning pool runs concurrently at workers
+# 4 and 8).
+go test -race -run 'Policy|Golden|Starvation|Inversion|Admission|Determinism|Fuzz|Differential|Drift' ./internal/jobsvc
 # Metrics gate: the windowed time-series fold and alert engine under the
 # race detector — the live path runs as a Recorder observer inside runs
 # whose worker pools are concurrent, so the collector gets the same
@@ -109,15 +111,26 @@ go run ./cmd/surfer-analyze -autoscale "$smoke/elastic.events" -json > "$smoke/p
 go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t1 \
     -machines 8 -levels 3 -fail "$smoke/plan.json" > /dev/null
 # Multi-tenant scheduler smoke + regression gate: generate a workload,
-# replay it through the job service, attribute the stream (the scheduler's
-# queued-preempted category must appear in the blame table), then
+# replay it through the job service under a small transient fault file (a
+# degraded link and a drop window, so the shared engine loop's drop →
+# timeout → backoff retry path runs from the CLI), attribute the stream
+# (the analyzer must accept the capture, list the scheduler's
+# queued-preempted category and blame a stage on retry backoff), then
 # regenerate the multitenant bench at the committed baseline's scale and
 # gate its virtual-time metrics against BENCH_multitenant.json.
 go run ./cmd/surfer-submit -gen 6 -tenants 3 -seed 7 -out "$smoke/jobs.json"
+cat > "$smoke/transient.json" <<'EOF'
+{
+  "links": [{"src": 0, "dst": 1, "from": 0, "until": 0.05, "factor": 4}],
+  "drops": [{"src": 1, "dst": 2, "from": 0, "until": 0.002}]
+}
+EOF
 go run ./cmd/surfer-submit -jobs "$smoke/jobs.json" -policy fair \
-    -events "$smoke/jobs.events" > "$smoke/submit.txt"
+    -faults "$smoke/transient.json" -events "$smoke/jobs.events" > "$smoke/submit.txt"
 grep -q "Jain fairness" "$smoke/submit.txt"
-go run ./cmd/surfer-analyze -trace "$smoke/jobs.events" | grep -q "queued-preempted"
+go run ./cmd/surfer-analyze -trace "$smoke/jobs.events" > "$smoke/jobs-report.txt"
+grep -q "queued-preempted" "$smoke/jobs-report.txt"
+grep -q "retry-backoff=" "$smoke/jobs-report.txt"
 go run ./cmd/surfer-bench -experiment multitenant -vertices 4096 -levels 4 \
     -machines 8 -json "$smoke/mt.json" > /dev/null
 go run ./cmd/surfer-analyze -compare BENCH_multitenant.json "$smoke/mt.json" -threshold 5%

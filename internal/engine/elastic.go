@@ -79,48 +79,43 @@ func (r *Runner) place(t *Task) (cluster.MachineID, error) {
 
 // onJoin brings a dormant machine live: from this instant it accepts
 // failovers, speculation backups and migrated partitions, and its NICs
-// (capped at its configured line rate) carry traffic.
-func (sr *stageRun) onJoin(e *event) {
-	r := sr.r
+// (capped at its configured line rate) carry traffic. A join is exogenous,
+// like a failure: it is anchored to the enclosing stage run sr.
+func (r *Runner) onJoin(sr *stageRun, e *event) int {
 	m := e.failMachine
 	if !r.dormant[m] {
-		sr.popSeq = trace.None
-		return
+		return trace.None
 	}
 	delete(r.dormant, m)
 	r.metrics.Joins++
-	// A join is exogenous, like a failure: anchor it to the enclosing stage.
-	sr.popSeq = r.tr.Emit(trace.Event{Kind: trace.KindMachineJoin, Job: sr.job.Name, Stage: sr.stageName(),
-		Cause: sr.stageBeginSeq, Machine: int(m), Dst: trace.None, Part: trace.None, Time: e.at})
+	return r.emitIn(sr, trace.Event{Kind: trace.KindMachineJoin, Cause: sr.anchorSeq(),
+		Machine: int(m), Dst: trace.None, Part: trace.None, Time: e.at})
 }
 
 // onDrain starts a graceful decommission: the machine stops accepting new
 // work (it is unavailable from here on; tasks already queued on it finish),
 // every partition homed on it starts migrating to a survivor, and the
 // deadline is armed. A machine with nothing to migrate retires on the spot.
-func (sr *stageRun) onDrain(e *event) {
-	r := sr.r
+func (r *Runner) onDrain(sr *stageRun, e *event) int {
 	m := e.failMachine
 	if r.dead[m] || r.draining[m] || r.retired[m] || r.dormant[m] {
-		sr.popSeq = trace.None
-		return
+		return trace.None
 	}
 	r.draining[m] = true
 	r.metrics.Drains++
-	drainSeq := r.tr.Emit(trace.Event{Kind: trace.KindMachineDrain, Job: sr.job.Name, Stage: sr.stageName(),
-		Cause: sr.stageBeginSeq, Machine: int(m), Dst: trace.None, Part: trace.None,
-		Time: e.at, End: e.deadline})
-	sr.popSeq = drainSeq
+	drainSeq := r.emitIn(sr, trace.Event{Kind: trace.KindMachineDrain, Cause: sr.anchorSeq(),
+		Machine: int(m), Dst: trace.None, Part: trace.None, Time: e.at, End: e.deadline})
 	outstanding := sr.startMigrations(m, e.at, drainSeq)
 	if outstanding == 0 {
-		sr.retire(m)
-		return
+		r.retire(m)
+		return drainSeq
 	}
 	r.drainState[m] = &drainState{seq: drainSeq, outstanding: outstanding}
-	// The deadline event does not hold the stage barrier: if every
-	// migration lands first the machine retires and the deadline is moot
-	// (a stale pop is ignored; an unpopped event is recycled at stage end).
-	sr.push(event{at: e.deadline, kind: evDrainDeadline, failMachine: m})
+	// The deadline event belongs to the stage run the migrations hold: if
+	// every migration lands first the machine retires and the deadline is
+	// moot (a stale pop is ignored, and the stage run's close drops it).
+	r.push(event{sr: sr, at: e.deadline, kind: evDrainDeadline, failMachine: m})
+	return drainSeq
 }
 
 // startMigrations issues one live migration per partition homed on the
@@ -129,11 +124,14 @@ func (sr *stageRun) onDrain(e *event) {
 // serialization, link degradation, drops and retries all apply — and each
 // holds the stage barrier via inflight until it lands. Zero-byte partitions
 // (no PartBytes configured) rehome instantly but still leave a trace event.
+// Without replicas there are no partition homes, so nothing migrates; with
+// no stage open there is no barrier for a migration to hold, which only the
+// replica-less job service reaches.
 func (sr *stageRun) startMigrations(m cluster.MachineID, at float64, drainSeq int) int {
-	r := sr.r
-	if r.cfg.Replicas == nil {
+	if sr == nil || sr.r.cfg.Replicas == nil {
 		return 0
 	}
+	r := sr.r
 	outstanding := 0
 	for p := range r.cfg.Replicas.Machines {
 		pid := partition.PartID(p)
@@ -152,7 +150,7 @@ func (sr *stageRun) startMigrations(m cluster.MachineID, at float64, drainSeq in
 		if bytes <= 0 {
 			r.home[pid] = dst
 			r.metrics.Migrations++
-			r.tr.Emit(trace.Event{Kind: trace.KindPartitionMigrate, Job: sr.job.Name, Stage: sr.stageName(),
+			sr.emit(trace.Event{Kind: trace.KindPartitionMigrate,
 				Cause: drainSeq, Machine: int(m), Dst: int(dst), Part: int(pid),
 				Time: at, Start: at, End: at})
 			continue
@@ -170,9 +168,7 @@ func (sr *stageRun) startMigrations(m cluster.MachineID, at float64, drainSeq in
 // migration lands. An arrival after the source died at its drain deadline
 // is stale — the copy never completed; the partition recovers through the
 // failover path instead.
-func (sr *stageRun) onMigrateDone(e *event) {
-	r := sr.r
-	ts := e.transfer
+func (r *Runner) onMigrateDone(ts *pendingTransfer) {
 	if r.dead[ts.src] {
 		return
 	}
@@ -182,7 +178,7 @@ func (sr *stageRun) onMigrateDone(e *event) {
 	if ds := r.drainState[ts.src]; ds != nil {
 		ds.outstanding--
 		if ds.outstanding <= 0 {
-			sr.retire(ts.src)
+			r.retire(ts.src)
 		}
 	}
 }
@@ -191,8 +187,7 @@ func (sr *stageRun) onMigrateDone(e *event) {
 // its state handed off and nothing lost. Retired is distinct from dead —
 // Deaths() stays untouched, so multi-iteration drivers do not mistake a
 // clean drain for a failure and roll back to a checkpoint.
-func (sr *stageRun) retire(m cluster.MachineID) {
-	r := sr.r
+func (r *Runner) retire(m cluster.MachineID) {
 	delete(r.drainState, m)
 	delete(r.draining, m)
 	r.retired[m] = true
@@ -203,15 +198,13 @@ func (sr *stageRun) retire(m cluster.MachineID) {
 // event is caused by the machine-drain, and the standard lost-task /
 // heartbeat / failover recovery takes over. A deadline whose drain already
 // retired (or died) is stale and ignored.
-func (sr *stageRun) onDrainDeadline(e *event) {
-	r := sr.r
+func (r *Runner) onDrainDeadline(sr *stageRun, e *event) int {
 	m := e.failMachine
 	ds := r.drainState[m]
 	if ds == nil || !r.draining[m] || r.dead[m] {
-		sr.popSeq = trace.None
-		return
+		return trace.None
 	}
 	delete(r.drainState, m)
 	delete(r.draining, m)
-	sr.failMachine(m, e.at, ds.seq)
+	return r.failMachine(sr, m, e.at, ds.seq)
 }

@@ -358,14 +358,30 @@ func TestElasticChurnSoak(t *testing.T) {
 	}
 }
 
-// TestDrainWithoutReplicasRejected: migration needs partition homes.
-func TestDrainWithoutReplicasRejected(t *testing.T) {
+// TestDrainWithoutReplicasRetires pins the no-replica drain rule the engine
+// shares with the job service: with no replica set there are no partition
+// homes to migrate, so the drain retires the machine at once, and a later
+// task pinned there lands on the first available machine.
+func TestDrainWithoutReplicasRetires(t *testing.T) {
+	rec := trace.NewRecorder()
 	r := New(Config{
-		Topo:   cluster.NewT1(2),
+		Topo:   cluster.NewT1(3),
+		Trace:  rec,
 		Faults: &fault.Schedule{Drains: []fault.MachineDrain{{Machine: 1, At: 1, Deadline: 2}}},
 	})
-	_, err := r.Run(&Job{Stages: []*Stage{{Tasks: []*Task{{Machine: 0, Compute: 1}}}}})
-	if err == nil {
-		t.Fatal("drain without replicas should be rejected")
+	m, err := r.Run(&Job{Name: "j", Stages: []*Stage{
+		{Name: "a", Tasks: []*Task{{Name: "a0", Machine: 2, Compute: 2}}},
+		{Name: "b", Tasks: []*Task{{Name: "b0", Machine: 1, Compute: 1}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Drains != 1 || m.Migrations != 0 || !r.Retired(1) {
+		t.Fatalf("drains/migrations = %d/%d, retired(1) = %v; want 1/0/true", m.Drains, m.Migrations, r.Retired(1))
+	}
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindTaskStart && ev.Name == "b0" && ev.Machine != 0 {
+			t.Fatalf("task pinned to the retired machine ran on %d, want first available 0", ev.Machine)
+		}
 	}
 }

@@ -72,7 +72,6 @@ type Runner struct {
 	metrics  Metrics
 	timeline Timeline
 	dead     map[cluster.MachineID]bool
-	failures []Failure // pending, sorted by At
 	// progress tracking (Appendix B): per-machine busy time and the task
 	// completion timeline of the current job.
 	busySeconds   []float64
@@ -102,20 +101,34 @@ type Runner struct {
 	// replica primary as a partition's current location after migration —
 	// the shared Replicas is never mutated, so runners at different worker
 	// counts stay independent. nicRate caps a machine's NIC line rate
-	// (0 = topology rate); joins and drains are the pending elastic events
-	// in deterministic (At, Machine) order; drainState tracks each active
-	// drain's outstanding migrations.
+	// (0 = topology rate); drainState tracks each active drain's
+	// outstanding migrations.
 	dormant    map[cluster.MachineID]bool
 	draining   map[cluster.MachineID]bool
 	retired    map[cluster.MachineID]bool
 	home       map[partition.PartID]cluster.MachineID
 	nicRate    []float64
-	joins      []fault.MachineJoin
-	drains     []fault.MachineDrain
 	drainState map[cluster.MachineID]*drainState
-	// evq is the simulation event queue, shared across stages and jobs so
-	// its heap storage and event freelist are reused.
-	evq eventQueue
+	// The shared cluster every open stage run executes on: per-machine
+	// task queues (FIFO across stage runs, in enqueue order) and running
+	// counts — a machine accepts up to Config.SlotsPerMachine concurrent
+	// tasks — and the NIC free-times. A transfer occupies the sender's
+	// egress and the receiver's ingress for bytes/bandwidth(src,dst)
+	// seconds, so all-to-all bursts serialize at the NICs (incast), within
+	// one job and across concurrent ones.
+	queues      [][]queued
+	running     []int
+	egressFree  []float64
+	ingressFree []float64
+	// evq is the one simulation event queue and seq its global tie-break
+	// counter; open lists the open stage runs in open order, calls counts
+	// the pending At callbacks, and err aborts the loop (e.g. a transfer
+	// exhausted its retries).
+	evq   eventQueue
+	seq   int
+	open  []*stageRun
+	calls int
+	err   error
 }
 
 // New creates a Runner.
@@ -126,6 +139,7 @@ func New(cfg Config) *Runner {
 	if cfg.SlotsPerMachine <= 0 {
 		cfg.SlotsPerMachine = 1
 	}
+	nm := cfg.Topo.NumMachines()
 	r := &Runner{
 		cfg: cfg, pool: NewPool(cfg.Workers), tr: cfg.Trace,
 		dead:        make(map[cluster.MachineID]bool),
@@ -139,22 +153,34 @@ func New(cfg Config) *Runner {
 		draining:    make(map[cluster.MachineID]bool),
 		retired:     make(map[cluster.MachineID]bool),
 		home:        make(map[partition.PartID]cluster.MachineID),
-		nicRate:     make([]float64, cfg.Topo.NumMachines()),
+		nicRate:     make([]float64, nm),
 		drainState:  make(map[cluster.MachineID]*drainState),
+		queues:      make([][]queued, nm),
+		running:     make([]int, nm),
+		egressFree:  make([]float64, nm),
+		ingressFree: make([]float64, nm),
 	}
-	r.failures = append(r.failures, cfg.Failures...)
-	sortFailures(r.failures)
+	// The membership schedule is armed once, up front — failures in At
+	// order, then joins and drains in (At, Machine) order — and fires as
+	// its events pop, anchored to the oldest open stage run.
+	failures := append([]Failure(nil), cfg.Failures...)
+	sortFailures(failures)
+	for _, f := range failures {
+		r.push(event{at: f.At, kind: evFailure, failMachine: f.Machine})
+	}
 	if cfg.Faults != nil {
 		// Join targets start dormant; their NIC rate cap is in force from
 		// the moment they go live.
-		for _, j := range cfg.Faults.Joins {
-			if int(j.Machine) >= 0 && int(j.Machine) < len(r.nicRate) {
+		for _, j := range cfg.Faults.SortedJoins() {
+			if int(j.Machine) >= 0 && int(j.Machine) < nm {
 				r.dormant[j.Machine] = true
 				r.nicRate[j.Machine] = j.NICs
+				r.push(event{at: j.At, kind: evJoin, failMachine: j.Machine})
 			}
 		}
-		r.joins = cfg.Faults.SortedJoins()
-		r.drains = cfg.Faults.SortedDrains()
+		for _, d := range cfg.Faults.SortedDrains() {
+			r.push(event{at: d.At, kind: evDrain, failMachine: d.Machine, deadline: d.Deadline})
+		}
 	}
 	return r
 }
@@ -279,6 +305,10 @@ type pendingTransfer struct {
 	bytes    int64
 	part     partition.PartID
 	attempt  int
+	// to is the receiving task while its placement is still open (outputs
+	// toward the next stage): data follows the task, so a retry goes to
+	// wherever the engine would place it by then.
+	to *Task
 	// dstName is the destination task's name and cause the Seq of the event
 	// that enabled the current attempt (the producing task's end, a recovery
 	// retry, or the transfer-retry after a drop's backoff) — both carried
@@ -301,28 +331,83 @@ type runAttempt struct {
 	dur     float64
 }
 
+// queued is one task waiting in a machine's shared queue, tagged with the
+// stage run it belongs to.
+type queued struct {
+	sr *stageRun
+	t  *Task
+}
+
+// Exec is one job executing on the runner's shared event loop. Its stages
+// open one at a time: the first when the owner calls Next, each later one
+// when the owner's barrier hook calls Next again — Run does so at once, the
+// job service may first hand the cluster to another job. The hook runs
+// inside the loop at every stage barrier, after the stage-end (and, for the
+// last stage, the job-end) event.
+type Exec struct {
+	r       *Runner
+	job     *Job
+	label   string
+	tenant  string
+	acct    *Metrics
+	barrier func(*Exec)
+	stage   int       // index of the next stage to open
+	prev    *stageRun // the last closed stage, for Combine-input recovery
+	endSeq  int
+	busy    float64
+}
+
+// NewExec prepares job for execution. label names it on trace events and
+// tenant stamps them; acct accumulates the work its stages do; barrier is
+// the owner's barrier hook.
+func (r *Runner) NewExec(job *Job, label, tenant string, acct *Metrics, barrier func(*Exec)) *Exec {
+	return &Exec{r: r, job: job, label: label, tenant: tenant, acct: acct, barrier: barrier, endSeq: trace.None}
+}
+
+// Done reports whether every stage of the job has run.
+func (x *Exec) Done() bool { return x.stage == len(x.job.Stages) }
+
+// EndSeq is the Seq of the job's last barrier event: the last stage-end, or
+// the job-end once Done.
+func (x *Exec) EndSeq() int { return x.endSeq }
+
+// Busy is the machine-seconds the last closed stage delivered.
+func (x *Exec) Busy() float64 { return x.busy }
+
+// Next opens the job's next stage at the current virtual time, its
+// stage-begin caused by cause; the first call also emits the job-begin.
+func (x *Exec) Next(cause int) {
+	r := x.r
+	if x.stage == 0 {
+		cause = r.tr.Emit(trace.Event{Kind: trace.KindJobBegin, Job: x.label, Tenant: x.tenant,
+			Cause: cause, Machine: trace.None, Dst: trace.None, Part: trace.None, Time: r.clock})
+	}
+	if x.Done() {
+		x.finish(cause)
+		x.barrier(x)
+		return
+	}
+	r.openStage(x, cause)
+}
+
+func (x *Exec) finish(cause int) {
+	x.endSeq = x.r.tr.Emit(trace.Event{Kind: trace.KindJobEnd, Job: x.label, Tenant: x.tenant,
+		Cause: cause, Machine: trace.None, Dst: trace.None, Part: trace.None, Time: x.r.clock})
+}
+
 // stageRun holds the mutable state of one stage execution. All per-task
 // state is indexed by the task's position in the stage (Task.idx, stamped
-// at stage start) and all per-machine state by machine ID, so the event
-// loop touches only flat slices.
+// at stage start), so the event loop touches only flat slices.
 type stageRun struct {
 	r        *Runner
-	job      *Job
+	exec     *Exec
+	stage    *Stage
 	stageIdx int
-	events   *eventQueue
-	seq      int
-	queues   [][]*Task
-	// running counts the tasks currently executing on each machine; a
-	// machine accepts up to Config.SlotsPerMachine concurrent tasks.
-	running []int
-	// egressFree / ingressFree model the NIC as the shared resource: a
-	// transfer occupies the sender's egress and the receiver's ingress
-	// for bytes/bandwidth(src,dst) seconds. All-to-all bursts therefore
-	// serialize at the NICs (incast), as on a real cluster.
-	egressFree  []float64
-	ingressFree []float64
-	remaining   int
-	inflight    int
+	// prev is the job's previous stage run (nil for the first), whose task
+	// machines a recovered Combine task re-fetches its inputs from.
+	prev      *stageRun
+	remaining int
+	inflight  int
 	// attempts registers the currently running task copies across all
 	// machines, in attempt-start order.
 	attempts []runAttempt
@@ -344,19 +429,15 @@ type stageRun struct {
 	// doneDurs collects committed task durations for the median the
 	// speculation policy compares stragglers against.
 	doneDurs []float64
+	// busy sums the machine-seconds of the stage's completed attempts.
+	busy float64
+	// The barrier: end is the latest time one of the stage's events popped,
+	// endCause the Seq of the event that last advanced it (the stage-end's
+	// cause on the critical path); beginSeq is the stage-begin event.
 	end      float64
-	// Causal threading: stageBeginSeq is this stage's begin event,
-	// dispatchCause the Seq that enabled the next task launch (set before
-	// every startNext call), popSeq the Seq describing the heap event just
-	// handled, endCause the Seq of the event that last advanced sr.end (the
-	// stage barrier's binding event), endSeq the emitted stage-end.
-	stageBeginSeq int
-	dispatchCause int
-	popSeq        int
-	endCause      int
-	endSeq        int
-	// err aborts the event loop (e.g. a transfer exhausted its retries).
-	err error
+	endCause int
+	beginSeq int
+	closed   bool
 }
 
 // Run executes the job, advancing the runner's clock, and returns the
@@ -365,11 +446,8 @@ func (r *Runner) Run(job *Job) (Metrics, error) {
 	if err := job.Validate(r.cfg.Topo); err != nil {
 		return Metrics{}, err
 	}
-	if len(r.failures) > 0 && r.cfg.Replicas == nil {
+	if len(r.cfg.Failures) > 0 && r.cfg.Replicas == nil {
 		return Metrics{}, fmt.Errorf("engine: failures configured without replicas")
-	}
-	if len(r.drains) > 0 && r.cfg.Replicas == nil {
-		return Metrics{}, fmt.Errorf("engine: drains configured without replicas (migration needs partition homes)")
 	}
 	before := r.metrics
 	start := r.clock
@@ -385,19 +463,16 @@ func (r *Runner) Run(job *Job) (Metrics, error) {
 		jobCause = r.lastFailSeq
 	}
 	r.recoveryPending = false
-	cause := r.tr.Emit(trace.Event{Kind: trace.KindJobBegin, Job: job.Name, Cause: jobCause,
-		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: r.clock})
-	var prev *stageRun
-	for si := range job.Stages {
-		sr, err := r.runStage(job, si, prev, cause)
-		if err != nil {
-			return Metrics{}, err
+	x := r.NewExec(job, job.Name, "", &r.metrics, func(x *Exec) {
+		if !x.Done() {
+			x.Next(x.EndSeq())
 		}
-		cause = sr.endSeq
-		prev = sr
+	})
+	x.Next(jobCause)
+	if err := r.Loop(); err != nil {
+		return Metrics{}, err
 	}
-	r.lastJobEnd = r.tr.Emit(trace.Event{Kind: trace.KindJobEnd, Job: job.Name, Cause: cause,
-		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: r.clock})
+	r.lastJobEnd = x.EndSeq()
 	m := r.metrics
 	m.ResponseSeconds = r.clock - start
 	m.MachineSeconds -= before.MachineSeconds
@@ -417,17 +492,91 @@ func (r *Runner) Run(job *Job) (Metrics, error) {
 	return m, nil
 }
 
-func (r *Runner) runStage(job *Job, si int, prev *stageRun, cause int) (*stageRun, error) {
-	stage := job.Stages[si]
-	nm := r.cfg.Topo.NumMachines()
+// At schedules fn to run inside the loop at virtual time t (not before the
+// current clock). At equal times callbacks run before every other event, in
+// the order they were scheduled.
+func (r *Runner) At(t float64, fn func()) {
+	r.calls++
+	r.push(event{at: t, kind: evCall, call: fn})
+}
+
+// Loop runs the shared event loop until no stage run is open and no At
+// callback is pending. Events left queued — membership events beyond the
+// last barrier, stale events of closed stage runs — stay for the next call.
+func (r *Runner) Loop() error {
+	for r.err == nil && (len(r.open) > 0 || r.calls > 0) {
+		if r.evq.Len() == 0 {
+			sr := r.open[0]
+			return fmt.Errorf("engine: stage %q deadlocked with %d tasks and %d transfers pending", sr.stage.Name, sr.remaining, sr.inflight)
+		}
+		e := r.evq.pop()
+		r.step(e)
+		r.evq.recycle(e)
+	}
+	return r.err
+}
+
+// step handles one popped event. Stage events advance their own stage run's
+// barrier; membership events (failures, joins, drains) belong to the oldest
+// open stage run — the only one in a single-job run. Events of a closed
+// stage run (stale completions on dead machines, losing speculative copies,
+// moot drain deadlines) are dropped without effect.
+func (r *Runner) step(e *event) {
+	if e.kind == evCall {
+		r.calls--
+		r.clock = e.at
+		e.call()
+		return
+	}
+	sr := e.sr
+	if sr == nil && len(r.open) > 0 {
+		sr = r.open[0]
+	} else if sr != nil && sr.closed {
+		return
+	}
+	r.clock = e.at
+	seq := trace.None
+	switch e.kind {
+	case evTaskDone:
+		seq = sr.onTaskDone(e)
+	case evTransferDone:
+		sr.inflight--
+		seq = e.traceSeq
+		if e.transfer.migrate {
+			r.onMigrateDone(e.transfer)
+		}
+	case evFailure:
+		seq = r.failMachine(sr, e.failMachine, e.at, sr.anchorSeq())
+	case evRecovery:
+		seq = sr.onRecovery(e)
+	case evTransferRetry:
+		seq = sr.onTransferRetry(e)
+	case evJoin:
+		seq = r.onJoin(sr, e)
+	case evDrain:
+		seq = r.onDrain(sr, e)
+	case evDrainDeadline:
+		seq = r.onDrainDeadline(sr, e)
+	}
+	if r.err != nil || sr == nil {
+		return
+	}
+	if e.at > sr.end {
+		sr.end = e.at
+		sr.endCause = seq
+	}
+	if sr.remaining == 0 && sr.inflight == 0 {
+		r.closeStage(sr)
+	}
+}
+
+// openStage places the exec's next stage on the cluster at the current
+// clock and launches what fits in the free slots.
+func (r *Runner) openStage(x *Exec, cause int) {
+	stage := x.job.Stages[x.stage]
 	nt := len(stage.Tasks)
 	sr := &stageRun{
-		r: r, job: job, stageIdx: si,
-		events:      &r.evq,
-		queues:      make([][]*Task, nm),
-		running:     make([]int, nm),
-		egressFree:  make([]float64, nm),
-		ingressFree: make([]float64, nm),
+		r: r, exec: x, stage: stage, stageIdx: x.stage, prev: x.prev,
 		taskMachine: make([]cluster.MachineID, nt),
 		committed:   make([]bool, nt),
 		copies:      make([]int, nt),
@@ -444,150 +593,115 @@ func (r *Runner) runStage(job *Job, si int, prev *stageRun, cause int) (*stageRu
 		sr.taskMachine[i] = -1
 		m, err := r.place(t)
 		if err != nil {
-			return nil, err
+			r.err = err
+			return
 		}
-		sr.queues[m] = append(sr.queues[m], t)
+		r.queues[m] = append(r.queues[m], queued{sr: sr, t: t})
 	}
-	// Arm pending failures that fall inside this stage: push them as
-	// events; ones beyond the stage end simply never fire (they are kept
-	// for later stages).
-	for _, f := range r.failures {
-		if !r.dead[f.Machine] {
-			at := f.At
-			if at < r.clock {
-				at = r.clock
-			}
-			sr.push(event{at: at, kind: evFailure, failMachine: f.Machine})
-		}
-	}
-	// Arm elastic membership events the same way: joins that have not
-	// fired (machine still dormant) and drains that have not started.
-	for _, j := range r.joins {
-		if r.dormant[j.Machine] {
-			at := j.At
-			if at < r.clock {
-				at = r.clock
-			}
-			sr.push(event{at: at, kind: evJoin, failMachine: j.Machine})
-		}
-	}
-	for _, d := range r.drains {
-		if !r.draining[d.Machine] && !r.retired[d.Machine] && !r.dead[d.Machine] {
-			at := d.At
-			if at < r.clock {
-				at = r.clock
-			}
-			sr.push(event{at: at, kind: evDrain, failMachine: d.Machine, deadline: d.Deadline})
-		}
-	}
-	sr.stageBeginSeq = r.tr.Emit(trace.Event{Kind: trace.KindStageBegin, Job: job.Name, Stage: stage.Name,
-		Cause: cause, Machine: trace.None, Dst: trace.None, Part: trace.None, Time: r.clock})
+	sr.beginSeq = sr.emit(trace.Event{Kind: trace.KindStageBegin, Cause: cause,
+		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: r.clock})
 	// An empty (or instantaneous) stage's barrier is bound by its own begin.
-	sr.endCause = sr.stageBeginSeq
+	sr.endCause = sr.beginSeq
+	r.open = append(r.open, sr)
 	// Start machines in ID order for determinism. These launches are
 	// enabled by the stage barrier opening.
-	sr.dispatchCause = sr.stageBeginSeq
-	for i := 0; i < r.cfg.Topo.NumMachines(); i++ {
-		sr.startNext(cluster.MachineID(i), r.clock)
+	for i := range r.queues {
+		r.startNext(cluster.MachineID(i), r.clock, sr.beginSeq)
 	}
-	// Event loop.
-	for sr.remaining > 0 || sr.inflight > 0 {
-		if sr.events.Len() == 0 {
-			return nil, fmt.Errorf("engine: stage %q deadlocked with %d tasks and %d transfers pending", stage.Name, sr.remaining, sr.inflight)
-		}
-		e := sr.events.pop()
-		sr.popSeq = trace.None
-		switch e.kind {
-		case evTaskDone:
-			sr.onTaskDone(e, prev)
-		case evTransferDone:
-			sr.inflight--
-			sr.popSeq = e.traceSeq
-			if e.transfer != nil && e.transfer.migrate {
-				sr.onMigrateDone(e)
-			}
-		case evFailure:
-			sr.onFailure(e)
-		case evRecovery:
-			sr.onRecovery(e, prev)
-		case evTransferRetry:
-			sr.onTransferRetry(e)
-		case evJoin:
-			sr.onJoin(e)
-		case evDrain:
-			sr.onDrain(e)
-		case evDrainDeadline:
-			sr.onDrainDeadline(e)
-		}
-		if sr.err != nil {
-			return nil, sr.err
-		}
-		// The last event to advance sr.end is the stage barrier's binding
-		// event: the stage-end's cause on the critical path.
-		if e.at > sr.end {
-			sr.end = e.at
-			sr.endCause = sr.popSeq
-		}
-		sr.events.recycle(e)
+	if nt == 0 {
+		r.closeStage(sr)
 	}
-	// Recycle events the barrier left behind (stale completions of dead
-	// machines, failures armed past the stage end — re-armed next stage).
-	sr.events.reset()
-	r.clock = sr.end
-	sr.endSeq = r.tr.Emit(trace.Event{Kind: trace.KindStageEnd, Job: job.Name, Stage: stage.Name,
-		Cause: sr.endCause, Machine: trace.None, Dst: trace.None, Part: trace.None, Time: sr.end})
-	return sr, nil
 }
 
-// stageName names the stage this run executes, for trace events.
-func (sr *stageRun) stageName() string { return sr.job.Stages[sr.stageIdx].Name }
+// closeStage passes a stage run's barrier: it leaves the open set, the
+// slots of its losing speculative copies still running are released (their
+// completions are dropped as stale; queued backup copies are skipped when
+// reached, every task being committed), the stage-end (and after the last
+// stage the job-end) is emitted, and the owner's barrier hook runs.
+func (r *Runner) closeStage(sr *stageRun) {
+	sr.closed = true
+	for i, o := range r.open {
+		if o == sr {
+			r.open = append(r.open[:i], r.open[i+1:]...)
+			break
+		}
+	}
+	for _, a := range sr.attempts {
+		r.running[a.machine]--
+	}
+	endSeq := sr.emit(trace.Event{Kind: trace.KindStageEnd, Cause: sr.endCause,
+		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: sr.end})
+	x := sr.exec
+	x.stage++
+	x.prev, sr.prev = sr, nil
+	x.endSeq, x.busy = endSeq, sr.busy
+	if x.Done() {
+		x.finish(endSeq)
+	}
+	x.barrier(x)
+}
+
+// anchorSeq is the cause of a membership event anchored to this stage run:
+// its stage-begin (None when no stage is open).
+func (sr *stageRun) anchorSeq() int {
+	if sr == nil {
+		return trace.None
+	}
+	return sr.beginSeq
+}
+
+// emit stamps ev with the stage run's job, stage and tenant (nothing when
+// sr is nil: a membership event with no stage open) and records it.
+func (r *Runner) emitIn(sr *stageRun, ev trace.Event) int {
+	if sr != nil {
+		ev.Job, ev.Stage, ev.Tenant = sr.exec.label, sr.stage.Name, sr.exec.tenant
+	}
+	return r.tr.Emit(ev)
+}
+
+func (sr *stageRun) emit(ev trace.Event) int { return sr.r.emitIn(sr, ev) }
 
 // emitTask emits a task-lifecycle trace event and returns its Seq (None when
 // tracing is off, via the nil-safe Emit).
 func (sr *stageRun) emitTask(kind trace.EventKind, t *Task, m cluster.MachineID, at, start, end float64, cause int) int {
-	return sr.r.tr.Emit(trace.Event{
-		Kind: kind, Job: sr.job.Name, Stage: sr.stageName(), Name: t.Name,
-		Cause: cause, Machine: int(m), Dst: trace.None, Part: int(t.Part),
-		Time: at, Start: start, End: end,
-	})
+	return sr.emit(trace.Event{Kind: kind, Name: t.Name, Cause: cause, Machine: int(m),
+		Dst: trace.None, Part: int(t.Part), Time: at, Start: start, End: end})
 }
 
 // push enqueues a simulation event, copying it into a recycled record and
 // stamping the deterministic tie-break sequence.
-func (sr *stageRun) push(ev event) {
-	e := sr.events.alloc()
+func (r *Runner) push(ev event) {
+	e := r.evq.alloc()
 	*e = ev
-	e.seq = sr.seq
-	sr.seq++
-	sr.events.push(e)
+	e.seq = r.seq
+	r.seq++
+	r.evq.push(e)
 }
 
 // startNext launches queued tasks on machine m at time now until its slots
-// are full or its queue drains.
-func (sr *stageRun) startNext(m cluster.MachineID, now float64) {
-	if sr.r.dead[m] {
+// are full or its queue drains. The queue is shared by every open stage
+// run: a freed slot goes to the head of the queue, whichever job owns it.
+// cause is the Seq of the event that enabled the launches.
+func (r *Runner) startNext(m cluster.MachineID, now float64, cause int) {
+	if r.dead[m] {
 		return
 	}
-	for sr.running[m] < sr.r.cfg.SlotsPerMachine {
-		q := sr.queues[m]
-		if len(q) == 0 {
-			return
-		}
-		t := q[0]
-		sr.queues[m] = q[1:]
+	for r.running[m] < r.cfg.SlotsPerMachine && len(r.queues[m]) > 0 {
+		sr, t := r.queues[m][0].sr, r.queues[m][0].t
+		r.queues[m] = r.queues[m][1:]
 		if sr.committed[t.idx] {
 			// A queued backup whose original already finished: drop it.
 			continue
 		}
-		sr.running[m]++
+		r.running[m]++
 		sr.copies[t.idx]++
 		// Stragglers: a machine slowed by a transient fault stretches
 		// every task that starts during the slowdown window.
-		dur := sr.r.taskDuration(t) * sr.r.faults.SlowdownFactor(m, now)
-		sr.r.timeline.record(now, t.DiskRead)
-		startSeq := sr.emitTask(trace.KindTaskStart, t, m, now, now, 0, sr.dispatchCause)
+		dur := r.taskDuration(t) * r.faults.SlowdownFactor(m, now)
+		r.timeline.record(now, t.DiskRead)
+		startSeq := sr.emitTask(trace.KindTaskStart, t, m, now, now, 0, cause)
 		sr.attempts = append(sr.attempts, runAttempt{task: t, machine: m, dur: dur})
-		sr.push(event{at: now + dur, kind: evTaskDone, task: t, machine: m, start: now, dur: dur, startSeq: startSeq})
+		r.push(event{sr: sr, at: now + dur, kind: evTaskDone, task: t, machine: m, start: now, dur: dur, startSeq: startSeq})
 	}
 }
 
@@ -606,33 +720,32 @@ func (r *Runner) taskDuration(t *Task) float64 {
 	return t.Compute + float64(t.DiskRead+t.DiskWrite)/r.cfg.Topo.DiskBandwidth()
 }
 
-func (sr *stageRun) onTaskDone(e *event, prev *stageRun) {
+func (sr *stageRun) onTaskDone(e *event) int {
 	r := sr.r
 	if r.dead[e.machine] {
 		// The machine died while this completion event was in flight;
 		// the failure handler already requeued the task. If this stale
 		// completion still advances the stage barrier, blame the failure.
-		sr.popSeq = r.failSeq[e.machine]
-		return
+		return r.failSeq[e.machine]
 	}
 	t := e.task
+	acct := sr.exec.acct
 	sr.dropAttempt(t, e.machine)
-	r.metrics.MachineSeconds += e.dur
-	r.metrics.DiskBytes += t.DiskRead + t.DiskWrite
-	r.metrics.TasksRun++
+	acct.MachineSeconds += e.dur
+	acct.DiskBytes += t.DiskRead + t.DiskWrite
+	acct.TasksRun++
+	sr.busy += e.dur
 	endSeq := sr.emitTask(trace.KindTaskEnd, t, e.machine, e.at, e.start, e.at, e.startSeq)
-	sr.popSeq = endSeq
 	r.noteTaskDone(e.machine, e.at, e.dur, r.progressTotal)
 	r.timeline.record(e.at, t.DiskWrite)
-	sr.running[e.machine]--
+	r.running[e.machine]--
 	sr.copies[t.idx]--
 	// This completion frees a slot: whatever launches next is its effect.
-	sr.dispatchCause = endSeq
 	if sr.committed[t.idx] {
 		// A speculative duplicate losing the race: its work is charged
 		// above, but the first completion already committed the results.
-		sr.startNext(e.machine, e.at)
-		return
+		r.startNext(e.machine, e.at, endSeq)
+		return endSeq
 	}
 	sr.committed[t.idx] = true
 	sr.taskMachine[t.idx] = e.machine
@@ -640,18 +753,20 @@ func (sr *stageRun) onTaskDone(e *event, prev *stageRun) {
 	sr.doneDurs = append(sr.doneDurs, e.dur)
 	// Launch output transfers toward next-stage task machines.
 	if len(t.Outputs) > 0 {
-		next := sr.job.Stages[sr.stageIdx+1]
+		next := sr.exec.job.Stages[sr.stageIdx+1]
 		for _, out := range t.Outputs {
 			dst := next.Tasks[out.DstTask]
 			dstM := dst.Machine
 			if pm, err := r.place(dst); err == nil {
 				dstM = pm
 			}
-			sr.sendBytes(e.machine, dstM, out.Bytes, e.at, dst.Part, dst.Name, endSeq)
+			sr.sendBytes(&pendingTransfer{src: e.machine, dst: dstM, to: dst, bytes: out.Bytes,
+				part: dst.Part, dstName: dst.Name, cause: endSeq}, e.at)
 		}
 	}
-	sr.startNext(e.machine, e.at)
-	sr.maybeSpeculate(e.at)
+	r.startNext(e.machine, e.at, endSeq)
+	sr.maybeSpeculate(e.at, endSeq)
+	return endSeq
 }
 
 // maybeSpeculate is the job manager's straggler check (Appendix B records
@@ -660,12 +775,13 @@ func (sr *stageRun) onTaskDone(e *event, prev *stageRun) {
 // still-running task projected to overrun Factor × median gets one backup
 // copy on a live replica holder of its partition. The first completed copy
 // commits; the loop stays serial, so speculation preserves determinism.
-func (sr *stageRun) maybeSpeculate(now float64) {
+// cause is the committed completion whose median triggered the check.
+func (sr *stageRun) maybeSpeculate(now float64, cause int) {
 	r := sr.r
 	if !r.spec.Enabled || r.cfg.Replicas == nil {
 		return
 	}
-	total := len(sr.job.Stages[sr.stageIdx].Tasks)
+	total := len(sr.stage.Tasks)
 	median := medianOf(sr.doneDurs)
 	// Collect stragglers from the running-attempt registry first: launching
 	// backups mutates it via startNext. Attempts on dead machines were
@@ -692,15 +808,11 @@ func (sr *stageRun) maybeSpeculate(now float64) {
 			continue
 		}
 		sr.speculated[s.t.idx] = true
-		r.metrics.Speculations++
-		// The committed completion whose median triggered this check is the
-		// cause of the backup launch (sr.popSeq: the task-end just handled).
-		specSeq := r.tr.Emit(trace.Event{Kind: trace.KindSpeculate, Job: sr.job.Name,
-			Stage: sr.stageName(), Name: s.t.Name, Cause: sr.popSeq, Machine: int(backup),
-			Dst: trace.None, Part: int(s.t.Part), Time: now})
-		sr.queues[backup] = append(sr.queues[backup], s.t)
-		sr.dispatchCause = specSeq
-		sr.startNext(backup, now)
+		sr.exec.acct.Speculations++
+		specSeq := sr.emit(trace.Event{Kind: trace.KindSpeculate, Name: s.t.Name, Cause: cause,
+			Machine: int(backup), Dst: trace.None, Part: int(s.t.Part), Time: now})
+		r.queues[backup] = append(r.queues[backup], queued{sr: sr, t: s.t})
+		r.startNext(backup, now, specSeq)
 	}
 }
 
@@ -731,21 +843,18 @@ func medianOf(xs []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
-// sendBytes schedules a transfer from src to dst, serializing with earlier
-// transfers on the sender's egress NIC and the receiver's ingress NIC.
-// Intra-machine moves are free. dstPart is the destination task's partition
-// and dstName its name, recorded on the trace event so traffic can be
-// attributed per partition and the transfer → receiving-task edge is
-// visible; cause is the Seq of the event that produced the bytes.
-func (sr *stageRun) sendBytes(src, dst cluster.MachineID, bytes int64, now float64, dstPart partition.PartID, dstName string, cause int) {
-	if bytes <= 0 {
-		return
-	}
-	if src == dst {
+// sendBytes schedules a transfer, serializing with earlier transfers on the
+// sender's egress NIC and the receiver's ingress NIC. Intra-machine moves
+// are free. The destination task's partition and name are recorded on the
+// trace event so traffic can be attributed per partition and the transfer
+// → receiving-task edge is visible; cause is the Seq of the event that
+// produced the bytes.
+func (sr *stageRun) sendBytes(ts *pendingTransfer, now float64) {
+	if ts.bytes <= 0 || ts.src == ts.dst {
 		return
 	}
 	sr.inflight++
-	sr.dispatch(&pendingTransfer{src: src, dst: dst, bytes: bytes, part: dstPart, dstName: dstName, cause: cause}, now)
+	sr.dispatch(ts, now)
 }
 
 // dispatch issues one attempt of a (possibly retried) transfer at time now.
@@ -754,33 +863,26 @@ func (sr *stageRun) sendBytes(src, dst cluster.MachineID, bytes int64, now float
 // bytes / (bandwidth ÷ degradation factor) seconds and delivers the bytes.
 func (sr *stageRun) dispatch(ts *pendingTransfer, now float64) {
 	r := sr.r
-	egFree, inFree := sr.egressFree[ts.src], sr.ingressFree[ts.dst]
-	start := now
-	if egFree > start {
-		start = egFree
-	}
-	if inFree > start {
-		start = inFree
-	}
+	acct := sr.exec.acct
+	egFree, inFree := r.egressFree[ts.src], r.ingressFree[ts.dst]
+	start := max(now, egFree, inFree)
 	if r.faults.DropsTransfer(ts.src, ts.dst, start) {
 		// The attempt makes no progress, but the sender cannot know that
 		// until its timeout fires: both NICs stay held until detection.
 		detect := start + r.retry.Timeout
-		sr.egressFree[ts.src] = detect
-		sr.ingressFree[ts.dst] = detect
+		r.egressFree[ts.src] = detect
+		r.ingressFree[ts.dst] = detect
 		ts.attempt++
-		r.metrics.TransferDrops++
-		dropSeq := r.tr.Emit(trace.Event{
-			Kind: trace.KindTransferDrop, Job: sr.job.Name, Stage: sr.stageName(), Name: ts.dstName,
+		acct.TransferDrops++
+		dropSeq := sr.emit(trace.Event{Kind: trace.KindTransferDrop, Name: ts.dstName,
 			Cause: ts.cause, Machine: int(ts.src), Dst: int(ts.dst), Part: int(ts.part), Bytes: ts.bytes,
-			Time: now, Start: start, End: detect, Attempt: ts.attempt,
-		})
+			Time: now, Start: start, End: detect, Attempt: ts.attempt})
 		if r.retry.MaxAttempts > 0 && ts.attempt >= r.retry.MaxAttempts {
-			sr.err = fmt.Errorf("engine: transfer %d→%d (%d bytes) dropped %d times; retry budget exhausted",
+			r.err = fmt.Errorf("engine: transfer %d→%d (%d bytes) dropped %d times; retry budget exhausted",
 				ts.src, ts.dst, ts.bytes, ts.attempt)
 			return
 		}
-		sr.push(event{at: detect + r.retry.BackoffAt(ts.attempt), kind: evTransferRetry, transfer: ts, traceSeq: dropSeq})
+		r.push(event{sr: sr, at: detect + r.retry.BackoffAt(ts.attempt), kind: evTransferRetry, transfer: ts, traceSeq: dropSeq})
 		return
 	}
 	factor := r.faults.LinkFactor(ts.src, ts.dst, start)
@@ -795,17 +897,16 @@ func (sr *stageRun) dispatch(ts *pendingTransfer, now float64) {
 		bw = nr
 	}
 	dur := float64(ts.bytes) * factor / bw
-	sr.egressFree[ts.src] = start + dur
-	sr.ingressFree[ts.dst] = start + dur
+	r.egressFree[ts.src] = start + dur
+	r.ingressFree[ts.dst] = start + dur
 	// Only delivered bytes count as network I/O; dropped attempts moved
 	// nothing.
-	r.metrics.NetworkBytes += ts.bytes
+	acct.NetworkBytes += ts.bytes
 	kind := trace.KindTransfer
 	if ts.migrate {
 		kind = trace.KindPartitionMigrate
 	}
-	seq := r.tr.Emit(trace.Event{
-		Kind: kind, Job: sr.job.Name, Stage: sr.stageName(), Name: ts.dstName,
+	seq := sr.emit(trace.Event{Kind: kind, Name: ts.dstName,
 		Cause: ts.cause, Machine: int(ts.src), Dst: int(ts.dst), Part: int(ts.part), Bytes: ts.bytes,
 		Time: now, Start: start, End: start + dur, Stall: start - now,
 		// The receiver's ingress NIC is the binding constraint when it
@@ -813,104 +914,101 @@ func (sr *stageRun) dispatch(ts *pendingTransfer, now float64) {
 		Incast:  inFree > now && inFree >= egFree,
 		Attempt: ts.attempt, Degraded: factor > 1,
 	})
-	done := event{at: start + dur, kind: evTransferDone, bytes: ts.bytes, traceSeq: seq}
-	if ts.migrate {
-		// The completion handler needs the transfer record to rehome the
-		// partition on arrival.
-		done.transfer = ts
-	}
-	sr.push(done)
+	// The completion handler reads the record to rehome a migrated
+	// partition on arrival.
+	r.push(event{sr: sr, at: start + dur, kind: evTransferDone, transfer: ts, traceSeq: seq})
 }
 
 // onTransferRetry re-issues a dropped transfer once its backoff elapses.
-func (sr *stageRun) onTransferRetry(e *event) {
-	r := sr.r
+func (sr *stageRun) onTransferRetry(e *event) int {
 	ts := e.transfer
-	r.metrics.TransferRetries++
-	retrySeq := r.tr.Emit(trace.Event{
-		Kind: trace.KindTransferRetry, Job: sr.job.Name, Stage: sr.stageName(), Name: ts.dstName,
+	sr.exec.acct.TransferRetries++
+	retrySeq := sr.emit(trace.Event{Kind: trace.KindTransferRetry, Name: ts.dstName,
 		Cause: e.traceSeq, Machine: int(ts.src), Dst: int(ts.dst), Part: int(ts.part),
-		Time: e.at, Attempt: ts.attempt,
-	})
-	sr.popSeq = retrySeq
+		Time: e.at, Attempt: ts.attempt})
 	// The re-issued attempt is caused by the retry, not the original send.
 	ts.cause = retrySeq
+	if ts.to != nil {
+		if pm, err := sr.r.place(ts.to); err == nil {
+			if pm == ts.src {
+				// The task now lands where the data already is.
+				sr.inflight--
+				return retrySeq
+			}
+			ts.dst = pm
+		}
+	}
 	sr.dispatch(ts, e.at)
+	return retrySeq
 }
 
-// onFailure marks the machine dead, collects its lost work and schedules the
-// manager's reaction one heartbeat later. A scheduled failure is exogenous;
-// anchoring it to the enclosing stage keeps the DAG rooted, and the analyzer
-// blames the gap to the stage's start on the fault model (retry backoff),
-// not on work.
-func (sr *stageRun) onFailure(e *event) {
-	sr.failMachine(e.failMachine, e.at, sr.stageBeginSeq)
-}
-
-// failMachine executes a machine death at time at: the failure trace event
-// cites cause (the stage begin for scheduled failures, the machine-drain for
-// an expired drain deadline), lost work is collected and the manager's
-// reaction scheduled one heartbeat later.
-func (sr *stageRun) failMachine(m cluster.MachineID, at float64, cause int) {
-	r := sr.r
+// failMachine executes a machine death at time at: the failure trace event,
+// anchored to sr, cites cause (the stage begin for scheduled failures, the
+// machine-drain for an expired drain deadline); every open stage run
+// collects its lost work and schedules the manager's reaction one heartbeat
+// later. A scheduled failure is exogenous; anchoring it to the enclosing
+// stage keeps the DAG rooted, and the analyzer blames the gap to the stage's
+// start on the fault model (retry backoff), not on work.
+func (r *Runner) failMachine(sr *stageRun, m cluster.MachineID, at float64, cause int) int {
 	if r.dead[m] {
-		sr.popSeq = r.failSeq[m]
-		return
+		return r.failSeq[m]
 	}
 	r.dead[m] = true
-	failSeq := r.tr.Emit(trace.Event{Kind: trace.KindFailure, Job: sr.job.Name, Stage: sr.stageName(),
-		Cause: cause, Machine: int(m), Dst: trace.None, Part: trace.None, Time: at})
+	failSeq := r.emitIn(sr, trace.Event{Kind: trace.KindFailure, Cause: cause,
+		Machine: int(m), Dst: trace.None, Part: trace.None, Time: at})
 	r.failSeq[m] = failSeq
 	r.lastFailSeq = failSeq
-	sr.popSeq = failSeq
+	lostQueue := r.queues[m]
+	r.queues[m] = nil
+	for _, o := range r.open {
+		o.lose(m, lostQueue, at, failSeq)
+	}
+	r.running[m] = 0
+	return failSeq
+}
+
+// lose collects this stage run's work lost with machine m — its entries in
+// the machine's queue, then its attempts running there — and schedules the
+// recovery one heartbeat later, holding the barrier until then.
+func (sr *stageRun) lose(m cluster.MachineID, lostQueue []queued, at float64, failSeq int) {
 	var lost []*Task
 	// Queued tasks are lost — unless another copy is committed or still
 	// running elsewhere (a queued speculative backup loses nothing).
-	for _, t := range sr.queues[m] {
-		if !sr.committed[t.idx] && sr.copies[t.idx] == 0 {
-			lost = append(lost, t)
+	for _, q := range lostQueue {
+		if q.sr == sr && !sr.committed[q.t.idx] && sr.copies[q.t.idx] == 0 {
+			lost = append(lost, q.t)
 		}
 	}
-	sr.queues[m] = nil
 	// Running tasks are lost in attempt-start order: their completion
 	// events stay on the queue, but the completion handler sees the dead
 	// machine and ignores them. A task is only requeued when this death
 	// killed its last running copy and no copy has committed — a surviving
 	// speculative backup carries on.
-	if sr.running[m] > 0 {
-		kept := sr.attempts[:0]
-		for _, a := range sr.attempts {
-			if a.machine != m {
-				kept = append(kept, a)
-				continue
-			}
-			sr.copies[a.task.idx]--
-			if !sr.committed[a.task.idx] && sr.copies[a.task.idx] == 0 {
-				lost = append(lost, a.task)
-			}
+	kept := sr.attempts[:0]
+	for _, a := range sr.attempts {
+		if a.machine != m {
+			kept = append(kept, a)
+			continue
 		}
-		sr.attempts = kept
-		sr.running[m] = 0
+		sr.copies[a.task.idx]--
+		if !sr.committed[a.task.idx] && sr.copies[a.task.idx] == 0 {
+			lost = append(lost, a.task)
+		}
 	}
+	sr.attempts = kept
 	for _, t := range lost {
 		sr.emitTask(trace.KindTaskLost, t, m, at, 0, 0, failSeq)
 	}
-	sr.push(event{
-		at:       at + r.cfg.HeartbeatInterval,
-		kind:     evRecovery,
-		lost:     lost,
-		traceSeq: failSeq,
-	})
+	sr.r.push(event{sr: sr, at: at + sr.r.cfg.HeartbeatInterval, kind: evRecovery, lost: lost, traceSeq: failSeq})
 	// Keep the recovery event from racing stage completion.
 	sr.inflight++
 }
 
 // onRecovery reassigns lost tasks to replica machines, re-transferring the
 // inputs of Combine-type tasks (Appendix B).
-func (sr *stageRun) onRecovery(e *event, prev *stageRun) {
+func (sr *stageRun) onRecovery(e *event) int {
 	r := sr.r
 	sr.inflight--
-	sr.popSeq = e.traceSeq
 	for _, t := range e.lost {
 		if sr.committed[t.idx] {
 			// A copy elsewhere committed between the failure and the
@@ -923,20 +1021,18 @@ func (sr *stageRun) onRecovery(e *event, prev *stageRun) {
 			// the error path via Run's deadlock message.
 			continue
 		}
-		r.metrics.Recoveries++
+		sr.exec.acct.Recoveries++
 		// The retry is caused by the failure (via the heartbeat); emit it
 		// before the input re-transfers so they can cite it as their cause.
 		retrySeq := sr.emitTask(trace.KindRetry, t, m, e.at, 0, 0, e.traceSeq)
-		if t.Kind == KindCombine && prev != nil {
+		if t.Kind == KindCombine && sr.prev != nil {
 			// Re-transfer this task's inputs from their producers.
-			myIdx := t.idx
-			prevStage := sr.job.Stages[sr.stageIdx-1]
-			for pi, pt := range prevStage.Tasks {
+			for pi, pt := range sr.prev.stage.Tasks {
 				for _, out := range pt.Outputs {
-					if out.DstTask != myIdx {
+					if out.DstTask != t.idx {
 						continue
 					}
-					src := prev.taskMachine[pi]
+					src := sr.prev.taskMachine[pi]
 					if src < 0 || r.dead[src] {
 						// Producer machine gone: fetch from the
 						// producing partition's replica.
@@ -946,23 +1042,25 @@ func (sr *stageRun) onRecovery(e *event, prev *stageRun) {
 							continue
 						}
 					}
-					sr.sendBytes(src, m, out.Bytes, e.at, t.Part, t.Name, retrySeq)
+					sr.sendBytes(&pendingTransfer{src: src, dst: m, bytes: out.Bytes,
+						part: t.Part, dstName: t.Name, cause: retrySeq}, e.at)
 				}
 			}
 		}
-		sr.queues[m] = append(sr.queues[m], t)
-		sr.dispatchCause = retrySeq
-		sr.startNext(m, e.at)
+		r.queues[m] = append(r.queues[m], queued{sr: sr, t: t})
+		r.startNext(m, e.at, retrySeq)
 	}
+	return e.traceSeq
 }
 
 // failover picks an available replica machine for a task's partition.
 // Availability excludes dead machines and — under elastic membership —
-// dormant, draining and retired ones.
+// dormant, draining and retired ones. A task with no replica to fail over
+// to (unpinned, or no replica set configured) goes to the first available
+// machine.
 func (r *Runner) failover(t *Task) (cluster.MachineID, error) {
 	if t.Part == NoPart || r.cfg.Replicas == nil {
-		// Unpinned task: any available machine.
-		for i := 0; i < r.cfg.Topo.NumMachines(); i++ {
+		for i := range r.queues {
 			if !r.unavailable(cluster.MachineID(i)) {
 				return cluster.MachineID(i), nil
 			}

@@ -5,7 +5,10 @@ import "repro/internal/cluster"
 // event kinds for the simulation queue, ordered by dispatch priority at
 // equal times.
 const (
-	evTaskDone = iota
+	// evCall runs a callback scheduled with Runner.At (the job service's
+	// arrivals) ahead of everything else at its instant.
+	evCall = iota
+	evTaskDone
 	evTransferDone
 	evFailure
 	evRecovery
@@ -25,6 +28,11 @@ type event struct {
 	at   float64
 	kind int
 	seq  int // tie-break for determinism
+	// sr is the stage run the event belongs to (nil for scheduled
+	// failures, joins and drains, which belong to the oldest open stage run
+	// when they pop); call is an evCall's callback.
+	sr   *stageRun
+	call func()
 	// task events
 	task    *Task
 	machine cluster.MachineID
@@ -33,7 +41,6 @@ type event struct {
 	// them from fault-dependent state.
 	start, dur float64
 	// transfer events
-	bytes    int64
 	transfer *pendingTransfer
 	// failure and elastic-membership events (failMachine doubles as the
 	// joining/draining machine; deadline is a drain's migration deadline)
@@ -130,15 +137,4 @@ func (q *eventQueue) pop() *event {
 		i = best
 	}
 	return top
-}
-
-// reset recycles every event still queued (stale completions of dead
-// machines, failures armed beyond the stage barrier) so the next stage
-// starts from an empty queue without dropping the records.
-func (q *eventQueue) reset() {
-	for i, e := range q.h {
-		q.free = append(q.free, e)
-		q.h[i] = nil
-	}
-	q.h = q.h[:0]
 }

@@ -10,6 +10,11 @@
 // link bandwidth. The event loop interleaves machines, links and failures
 // exactly as a real cluster would; only the clock is simulated. All byte
 // counters (network, disk) are exact.
+//
+// One Runner has one event loop, and several jobs may execute on it at once
+// (Exec), sharing machine task slots and NICs: Run drives one job through
+// it, and the multi-tenant job service drives many, deciding at each
+// stage barrier which job holds the cluster next.
 package engine
 
 import (

@@ -98,28 +98,6 @@ func ValidateElastic(joins []MachineJoin, drains []MachineDrain, numMachines int
 	return nil
 }
 
-// AcceptingAt reports whether machine m accepts new task assignments at
-// time t under this schedule: a join target is not live before its join
-// time, and a draining machine stops accepting new work from its drain
-// start (already-running work finishes). A pure function of (m, t), so
-// schedulers that consult it at barrier points stay deterministic.
-func (s *Schedule) AcceptingAt(m cluster.MachineID, t float64) bool {
-	if s == nil {
-		return true
-	}
-	for i := range s.Joins {
-		if s.Joins[i].Machine == m && t < s.Joins[i].At {
-			return false
-		}
-	}
-	for i := range s.Drains {
-		if s.Drains[i].Machine == m && t >= s.Drains[i].At {
-			return false
-		}
-	}
-	return true
-}
-
 // Dormant returns the machines that start dormant under this schedule (the
 // join targets), as a lookup slice over numMachines machines. A nil
 // schedule dormants nothing.

@@ -55,34 +55,6 @@ func TestScheduleValidateIncludesElastic(t *testing.T) {
 	}
 }
 
-func TestAcceptingAt(t *testing.T) {
-	s := &Schedule{
-		Joins:  []MachineJoin{{Machine: 3, At: 2}},
-		Drains: []MachineDrain{{Machine: 1, At: 5, Deadline: 9}},
-	}
-	cases := []struct {
-		m    cluster.MachineID
-		t    float64
-		want bool
-	}{
-		{0, 0, true},    // untouched machine
-		{3, 1.9, false}, // join target before its join
-		{3, 2.0, true},  // live from the join instant
-		{1, 4.9, true},  // not yet draining
-		{1, 5.0, false}, // stops accepting at drain start
-		{1, 99, false},  // and never resumes
-	}
-	for _, c := range cases {
-		if got := s.AcceptingAt(c.m, c.t); got != c.want {
-			t.Errorf("AcceptingAt(%d, %g) = %v, want %v", c.m, c.t, got, c.want)
-		}
-	}
-	var nilSched *Schedule
-	if !nilSched.AcceptingAt(0, 0) {
-		t.Error("nil schedule should accept everywhere")
-	}
-}
-
 func TestDormantAndSortedAccessors(t *testing.T) {
 	s := &Schedule{
 		Joins: []MachineJoin{{Machine: 5, At: 3}, {Machine: 4, At: 1}},

@@ -86,11 +86,11 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	// Read the arrays in bounded chunks so a corrupt header declaring a
 	// huge graph fails fast at end-of-input instead of allocating the
 	// declared size up front.
-	offsets, err := readChunked[int64](br, nv+1, "offsets")
+	offsets, err := ReadChunked[int64](br, nv+1, "offsets")
 	if err != nil {
 		return nil, err
 	}
-	targets, err := readChunked[VertexID](br, ne, "targets")
+	targets, err := ReadChunked[VertexID](br, ne, "targets")
 	if err != nil {
 		return nil, err
 	}
@@ -110,10 +110,11 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	return &Graph{offsets: offsets, targets: targets}, nil
 }
 
-// readChunked reads n little-endian values of type T in slabs, growing the
+// ReadChunked reads n little-endian values of type T in slabs, growing the
 // result as input actually arrives. A header lying about the element count
-// therefore errors out after at most one slab of over-allocation.
-func readChunked[T int64 | VertexID](r io.Reader, n uint64, what string) ([]T, error) {
+// therefore errors out after at most one slab of over-allocation. Every
+// decoder that sizes a slice from untrusted input reads through it.
+func ReadChunked[T int64 | VertexID](r io.Reader, n uint64, what string) ([]T, error) {
 	const slab = 1 << 20
 	out := make([]T, 0, min(n, slab))
 	for remaining := n; remaining > 0; {

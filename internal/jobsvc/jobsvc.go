@@ -5,6 +5,15 @@
 // shared, fought-over resource, generalizing the one-job-at-a-time
 // scheduler package.
 //
+// The service decides; the engine executes. Jobs run as engine.Exec
+// executions on one engine.Runner's event loop, which owns everything about
+// execution — task slots, NIC serialization and incast, link degradation,
+// drop → timeout → backoff retries, slowdowns, elastic joins, drains and
+// NIC caps — exactly as for a single engine.Runner.Run job. The service
+// keeps only admission, arrivals (Runner.At callbacks), per-tenant vruntime
+// and the policy that, at the engine's barrier hook, decides which job
+// holds the cluster next.
+//
 // A job arrives at its spec's submit time, waits in the queue for a run
 // slot (Config.Concurrency bounds how many jobs hold the cluster at once),
 // and then executes its pre-planned engine jobs stage by stage. Scheduling
@@ -18,19 +27,27 @@
 // control (Config.QueueLimit) rejects arrivals when the queue is over
 // budget, deterministically.
 //
-// Determinism contract: the service is one serial discrete-event loop in
-// virtual time — the worker pool parallelism of the engine only ever runs
-// semantic *planning* compute (see propagation.PlanIterations), never this
-// loop — so per-job results, latencies and the trace stream are
-// bit-identical for every worker count, with or without a fault schedule.
-// Every scheduler decision is traced (job-queued / job-admitted /
-// job-preempted / job-resumed / job-rejected) with causal edges, so
-// surfer-analyze can attribute makespan to queueing (the queued-preempted
-// blame category).
+// Sharing the engine's loop fixes three rules (DESIGN.md, "Job service"):
+// at equal virtual times an arrival runs before every engine event, and
+// engine events keep the engine's order (task-done, transfer-done,
+// failure, recovery, retry, join, drain) with one global sequence number
+// breaking ties; a join or drain takes effect when its event pops, so one
+// at the same instant as a barrier or arrival takes effect after it; and a
+// task displaced from a draining or dormant machine with no replica to go
+// to lands on the first available machine, while a drain without replicas
+// has nothing to migrate and retires the machine at once.
+//
+// Determinism contract: the engine loop is serial in virtual time — the
+// worker pool parallelism only ever runs semantic *planning* compute (see
+// propagation.PlanIterations), never this loop — so per-job results,
+// latencies and the trace stream are bit-identical for every worker count,
+// with or without a fault schedule. Every scheduler decision is traced
+// (job-queued / job-admitted / job-preempted / job-resumed / job-rejected)
+// with causal edges, so surfer-analyze can attribute makespan to queueing
+// (the queued-preempted blame category).
 package jobsvc
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -177,19 +194,12 @@ type jobRun struct {
 	job   Job
 	idx   int // arrival order
 	state jobState
-	// planIdx/stageIdx locate the next (or running) stage.
-	planIdx  int
-	stageIdx int
-	// Running-stage bookkeeping, engine-equivalent: remaining tasks,
-	// in-flight transfers, and the barrier's binding event.
-	remaining     int
-	inflight      int
-	stageEnd      float64
-	stageEndCause int
-	dispatchCause int
-	// stageMach is the stage's delivered machine-seconds, accrued into the
-	// tenant's fair-share vruntime at the barrier.
-	stageMach float64
+	// planIdx locates the plan job executing (or next to), exec its
+	// execution on the engine loop and met the engine's accounting of the
+	// work over the whole plan.
+	planIdx int
+	exec    *engine.Exec
+	met     engine.Metrics
 	// Trace threading.
 	queuedSeq  int
 	preemptSeq int
@@ -199,97 +209,13 @@ type jobRun struct {
 
 func (jr *jobRun) id() string { return jr.job.Spec.ID }
 
-// curPlan returns the engine job the next/running stage belongs to.
-func (jr *jobRun) curPlan() *engine.Job { return jr.job.Plan[jr.planIdx] }
-
-// execName is the trace label of the job's current engine job: the spec ID
-// plus the plan-job name, unique across tenants even when two jobs run the
-// same app.
-func (jr *jobRun) execName() string { return jr.id() + "/" + jr.curPlan().Name }
-
-// event kinds, in tie-break order at equal virtual times: arrivals resolve
-// before completions so a same-instant arrival is visible to the schedule
-// pass its barrier triggers.
-const (
-	evArrival = iota
-	evTaskDone
-	evTransferDone
-	evTransferRetry
-)
-
-type event struct {
-	at   float64
-	kind int
-	seq  int
-	// evArrival / evTransferDone
-	jr *jobRun
-	// evTaskDone
-	st       *simTask
-	machine  cluster.MachineID
-	start    float64
-	dur      float64
-	startSeq int
-	// evTransferDone / evTransferRetry
-	transfer *pendingTransfer
-	traceSeq int
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// simTask is one enqueued task execution, tagged with its owning job.
-type simTask struct {
-	jr *jobRun
-	t  *engine.Task
-}
-
-type pendingTransfer struct {
-	jr      *jobRun
-	src     cluster.MachineID
-	dst     cluster.MachineID
-	bytes   int64
-	part    int
-	dstName string
-	attempt int
-	cause   int
-}
-
-// service is the multi-job discrete-event simulator. Everything here runs
-// on the caller's goroutine — the serial loop is the determinism anchor.
+// service is the admission queue and barrier policy over one engine
+// runner. Everything here runs on the caller's goroutine, inside the
+// runner's serial loop — the determinism anchor.
 type service struct {
-	cfg    Config
-	tr     *trace.Recorder
-	faults *fault.Schedule
-	retry  fault.RetryPolicy
-
-	events eventHeap
-	seq    int
-
-	// Shared cluster state: task slots and NIC free-times span jobs, which
-	// is the whole point — concurrent tenants contend here.
-	running     []int
-	queues      [][]*simTask
-	egressFree  []float64
-	ingressFree []float64
+	cfg Config
+	r   *engine.Runner
+	tr  *trace.Recorder
 
 	jobs      []*jobRun // arrival order
 	queued    []*jobRun // waiting for admission, arrival order
@@ -301,8 +227,6 @@ type service struct {
 
 	// lastQueuedSeq chains arrival events causally (first arrival is root).
 	lastQueuedSeq int
-
-	err error
 }
 
 func newService(cfg Config, jobs []Job) (*service, error) {
@@ -311,9 +235,6 @@ func newService(cfg Config, jobs []Job) (*service, error) {
 	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 2
-	}
-	if cfg.SlotsPerMachine <= 0 {
-		cfg.SlotsPerMachine = 1
 	}
 	if err := cfg.Faults.Validate(cfg.Topo.NumMachines()); err != nil {
 		return nil, err
@@ -341,6 +262,9 @@ func newService(cfg Config, jobs []Job) (*service, error) {
 			if err := pj.Validate(cfg.Topo); err != nil {
 				return nil, fmt.Errorf("jobsvc: job %q: %w", j.Spec.ID, err)
 			}
+			if len(pj.Stages) == 0 {
+				return nil, fmt.Errorf("jobsvc: job %q plan %q has no stages", j.Spec.ID, pj.Name)
+			}
 			for si, st := range pj.Stages {
 				if len(st.Tasks) == 0 {
 					return nil, fmt.Errorf("jobsvc: job %q plan %q stage %d has no tasks", j.Spec.ID, pj.Name, si)
@@ -348,16 +272,11 @@ func newService(cfg Config, jobs []Job) (*service, error) {
 			}
 		}
 	}
-	n := cfg.Topo.NumMachines()
 	s := &service{
-		cfg:           cfg,
+		cfg: cfg,
+		r: engine.New(engine.Config{Topo: cfg.Topo, SlotsPerMachine: cfg.SlotsPerMachine,
+			Workers: 1, Trace: cfg.Trace, Faults: cfg.Faults, Retry: cfg.Retry}),
 		tr:            cfg.Trace,
-		faults:        cfg.Faults,
-		retry:         cfg.Retry.WithDefaults(),
-		running:       make([]int, n),
-		queues:        make([][]*simTask, n),
-		egressFree:    make([]float64, n),
-		ingressFree:   make([]float64, n),
 		vruntime:      make(map[string]float64),
 		lastQueuedSeq: trace.None,
 	}
@@ -377,51 +296,31 @@ func newService(cfg Config, jobs []Job) (*service, error) {
 			Priority: jr.job.Spec.Priority,
 		}
 		s.jobs = append(s.jobs, jr)
-		s.push(&event{at: jr.job.Spec.Submit, kind: evArrival, jr: jr})
+		s.r.At(jr.job.Spec.Submit, func() { s.onArrival(jr) })
 	}
 	return s, nil
 }
 
-func (s *service) push(e *event) {
-	e.seq = s.seq
-	s.seq++
-	heap.Push(&s.events, e)
-}
-
 func (s *service) run() ([]Record, error) {
-	for s.events.Len() > 0 {
-		e := heap.Pop(&s.events).(*event)
-		switch e.kind {
-		case evArrival:
-			s.onArrival(e.jr, e.at)
-		case evTaskDone:
-			s.onTaskDone(e)
-		case evTransferDone:
-			jr := e.jr
-			jr.inflight--
-			s.noteStageEvent(jr, e.at, e.traceSeq)
-			if jr.remaining == 0 && jr.inflight == 0 {
-				s.finishStage(jr, e.at)
-			}
-		case evTransferRetry:
-			s.onTransferRetry(e)
-		}
-		if s.err != nil {
-			return nil, s.err
-		}
+	if err := s.r.Loop(); err != nil {
+		return nil, fmt.Errorf("jobsvc: %w", err)
 	}
 	recs := make([]Record, len(s.jobs))
 	for i, jr := range s.jobs {
 		if jr.state != jsDone && jr.state != jsRejected {
 			return nil, fmt.Errorf("jobsvc: job %q stalled in state %d with no events pending", jr.id(), jr.state)
 		}
+		m := jr.met
+		jr.rec.MachineSeconds, jr.rec.NetworkBytes, jr.rec.DiskBytes = m.MachineSeconds, m.NetworkBytes, m.DiskBytes
+		jr.rec.TasksRun, jr.rec.TransferDrops, jr.rec.TransferRetries = m.TasksRun, m.TransferDrops, m.TransferRetries
 		recs[i] = jr.rec
 	}
 	return recs, nil
 }
 
 // onArrival queues (or rejects) an arriving job and runs a schedule pass.
-func (s *service) onArrival(jr *jobRun, at float64) {
+func (s *service) onArrival(jr *jobRun) {
+	at := s.r.Clock()
 	jr.rec.Submitted = at
 	jr.queuedSeq = s.tr.Emit(trace.Event{Kind: trace.KindJobQueued, Job: jr.id(),
 		Tenant: jr.job.Spec.Tenant, Cause: s.lastQueuedSeq, Machine: trace.None,
@@ -531,6 +430,7 @@ func (s *service) grant(jr *jobRun, now float64) {
 			Dst: trace.None, Part: trace.None, Time: now})
 		jr.rec.Admitted = now
 		jr.nextCause = admitSeq
+		s.startPlan(jr)
 	case jsPreempted:
 		s.preempted = removeJob(s.preempted, jr)
 		resumeSeq := s.tr.Emit(trace.Event{Kind: trace.KindJobResumed, Job: jr.id(),
@@ -544,7 +444,7 @@ func (s *service) grant(jr *jobRun, now float64) {
 	}
 	jr.state = jsActive
 	s.active++
-	s.startStage(jr, now)
+	jr.exec.Next(jr.nextCause)
 }
 
 func removeJob(list []*jobRun, jr *jobRun) []*jobRun {
@@ -556,233 +456,33 @@ func removeJob(list []*jobRun, jr *jobRun) []*jobRun {
 	panic("jobsvc: job missing from its scheduler list")
 }
 
-// startStage opens jr's next stage: emits begin markers, enqueues the
-// stage's tasks on their machines and launches what fits in the free slots.
-func (s *service) startStage(jr *jobRun, now float64) {
-	plan := jr.curPlan()
-	if jr.stageIdx == 0 {
-		jr.nextCause = s.tr.Emit(trace.Event{Kind: trace.KindJobBegin, Job: jr.execName(),
-			Tenant: jr.job.Spec.Tenant, Cause: jr.nextCause, Machine: trace.None,
-			Dst: trace.None, Part: trace.None, Time: now})
-	}
-	stage := plan.Stages[jr.stageIdx]
-	beginSeq := s.tr.Emit(trace.Event{Kind: trace.KindStageBegin, Job: jr.execName(),
-		Stage: stage.Name, Tenant: jr.job.Spec.Tenant, Cause: jr.nextCause,
-		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: now})
-	jr.remaining = len(stage.Tasks)
-	jr.inflight = 0
-	jr.stageMach = 0
-	jr.stageEnd = now
-	jr.stageEndCause = beginSeq
-	jr.dispatchCause = beginSeq
-	touched := make([]cluster.MachineID, 0, len(stage.Tasks))
-	for _, t := range stage.Tasks {
-		m := t.Machine
-		// Elastic membership: a machine that is draining (or not yet
-		// joined) at this barrier stops accepting new tasks — its work is
-		// rerouted to the least-loaded accepting machine. Running tasks
-		// elsewhere in flight are untouched; barriers are the only points
-		// where assignment decisions happen.
-		if !s.faults.AcceptingAt(m, now) {
-			if rm, ok := s.rerouteTarget(now); ok {
-				m = rm
-			}
-		}
-		if len(s.queues[m]) == 0 {
-			touched = append(touched, m)
-		}
-		s.queues[m] = append(s.queues[m], &simTask{jr: jr, t: t})
-	}
-	// Machines in ID order for determinism (engine-equivalent); only ones
-	// this stage touched can have gained runnable work.
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
-	for _, m := range touched {
-		s.startNext(m, now, jr.dispatchCause)
-	}
+// startPlan prepares jr's current plan job for execution on the engine
+// loop, traced as "<id>/<plan job>" — unique across tenants even when two
+// jobs run the same app.
+func (s *service) startPlan(jr *jobRun) {
+	pj := jr.job.Plan[jr.planIdx]
+	jr.exec = s.r.NewExec(pj, jr.id()+"/"+pj.Name, jr.job.Spec.Tenant, &jr.met,
+		func(x *engine.Exec) { s.onBarrier(jr, x) })
 }
 
-// rerouteTarget picks the accepting machine with the least pending work
-// (queued + running), ties to the lowest machine ID — the deterministic
-// landing spot for tasks whose pinned machine is draining or not yet
-// joined. False when no machine accepts (the caller then keeps the pin).
-func (s *service) rerouteTarget(now float64) (cluster.MachineID, bool) {
-	best := cluster.MachineID(-1)
-	bestLoad := 0
-	for i := 0; i < s.cfg.Topo.NumMachines(); i++ {
-		m := cluster.MachineID(i)
-		if !s.faults.AcceptingAt(m, now) {
-			continue
-		}
-		load := len(s.queues[m]) + s.running[m]
-		if best < 0 || load < bestLoad {
-			best, bestLoad = m, load
-		}
-	}
-	return best, best >= 0
-}
-
-// startNext launches queued tasks on machine m until its slots fill or its
-// queue drains. The queue is shared across jobs: contention for task slots
-// is FIFO in enqueue order, whatever the owning job.
-func (s *service) startNext(m cluster.MachineID, now float64, cause int) {
-	for s.running[m] < s.cfg.SlotsPerMachine && len(s.queues[m]) > 0 {
-		st := s.queues[m][0]
-		s.queues[m] = s.queues[m][1:]
-		s.running[m]++
-		dur := s.taskDuration(st.t) * s.faults.SlowdownFactor(m, now)
-		startSeq := s.tr.Emit(trace.Event{Kind: trace.KindTaskStart, Job: st.jr.execName(),
-			Stage: st.jr.curStageName(), Name: st.t.Name, Tenant: st.jr.job.Spec.Tenant,
-			Cause: cause, Machine: int(m), Dst: trace.None, Part: int(st.t.Part),
-			Time: now, Start: now})
-		s.push(&event{at: now + dur, kind: evTaskDone, st: st, machine: m,
-			start: now, dur: dur, startSeq: startSeq})
-	}
-}
-
-func (jr *jobRun) curStageName() string { return jr.curPlan().Stages[jr.stageIdx].Name }
-
-func (s *service) taskDuration(t *engine.Task) float64 {
-	return t.Compute + float64(t.DiskRead+t.DiskWrite)/s.cfg.Topo.DiskBandwidth()
-}
-
-// noteStageEvent advances jr's barrier clock: the last event to move it is
-// the stage barrier's binding event, the stage-end's cause.
-func (s *service) noteStageEvent(jr *jobRun, at float64, seq int) {
-	if at > jr.stageEnd {
-		jr.stageEnd = at
-		jr.stageEndCause = seq
-	}
-}
-
-func (s *service) onTaskDone(e *event) {
-	st := e.st
-	jr := st.jr
-	t := st.t
-	jr.rec.MachineSeconds += e.dur
-	jr.rec.DiskBytes += t.DiskRead + t.DiskWrite
-	jr.rec.TasksRun++
-	jr.stageMach += e.dur
-	endSeq := s.tr.Emit(trace.Event{Kind: trace.KindTaskEnd, Job: jr.execName(),
-		Stage: jr.curStageName(), Name: t.Name, Tenant: jr.job.Spec.Tenant,
-		Cause: e.startSeq, Machine: int(e.machine), Dst: trace.None, Part: int(t.Part),
-		Time: e.at, Start: e.start, End: e.at})
-	s.running[e.machine]--
-	jr.remaining--
-	s.noteStageEvent(jr, e.at, endSeq)
-	// Launch output transfers toward next-stage task machines.
-	if len(t.Outputs) > 0 {
-		next := jr.curPlan().Stages[jr.stageIdx+1]
-		for _, out := range t.Outputs {
-			dst := next.Tasks[out.DstTask]
-			s.sendBytes(jr, e.machine, dst.Machine, out.Bytes, e.at, int(dst.Part), dst.Name, endSeq)
-		}
-	}
-	// The freed slot goes to the head of the shared machine queue —
-	// possibly another tenant's task.
-	s.startNext(e.machine, e.at, endSeq)
-	if s.err == nil && jr.remaining == 0 && jr.inflight == 0 {
-		s.finishStage(jr, e.at)
-	}
-}
-
-// sendBytes schedules a transfer, serializing on the shared egress/ingress
-// NIC free-times — where cross-job contention happens. Intra-machine moves
-// are free.
-func (s *service) sendBytes(jr *jobRun, src, dst cluster.MachineID, bytes int64, now float64, dstPart int, dstName string, cause int) {
-	if bytes <= 0 || src == dst {
-		return
-	}
-	jr.inflight++
-	s.dispatch(&pendingTransfer{jr: jr, src: src, dst: dst, bytes: bytes,
-		part: dstPart, dstName: dstName, cause: cause}, now)
-}
-
-// dispatch issues one attempt of a (possibly retried) transfer, with the
-// engine's fault semantics: a blackholed attempt holds both NICs until the
-// sender's timeout, then schedules a backoff retry.
-func (s *service) dispatch(ts *pendingTransfer, now float64) {
-	jr := ts.jr
-	egFree, inFree := s.egressFree[ts.src], s.ingressFree[ts.dst]
-	start := now
-	if egFree > start {
-		start = egFree
-	}
-	if inFree > start {
-		start = inFree
-	}
-	if s.faults.DropsTransfer(ts.src, ts.dst, start) {
-		detect := start + s.retry.Timeout
-		s.egressFree[ts.src] = detect
-		s.ingressFree[ts.dst] = detect
-		ts.attempt++
-		jr.rec.TransferDrops++
-		dropSeq := s.tr.Emit(trace.Event{Kind: trace.KindTransferDrop, Job: jr.execName(),
-			Stage: jr.curStageName(), Name: ts.dstName, Tenant: jr.job.Spec.Tenant,
-			Cause: ts.cause, Machine: int(ts.src), Dst: int(ts.dst), Part: ts.part,
-			Bytes: ts.bytes, Time: now, Start: start, End: detect, Attempt: ts.attempt})
-		if s.retry.MaxAttempts > 0 && ts.attempt >= s.retry.MaxAttempts {
-			s.err = fmt.Errorf("jobsvc: job %q transfer %d→%d (%d bytes) dropped %d times; retry budget exhausted",
-				jr.id(), ts.src, ts.dst, ts.bytes, ts.attempt)
-			return
-		}
-		s.noteStageEvent(jr, detect, dropSeq)
-		s.push(&event{at: detect + s.retry.BackoffAt(ts.attempt), kind: evTransferRetry,
-			transfer: ts, traceSeq: dropSeq})
-		return
-	}
-	factor := s.faults.LinkFactor(ts.src, ts.dst, start)
-	dur := float64(ts.bytes) * factor / s.cfg.Topo.Bandwidth(ts.src, ts.dst)
-	s.egressFree[ts.src] = start + dur
-	s.ingressFree[ts.dst] = start + dur
-	jr.rec.NetworkBytes += ts.bytes
-	seq := s.tr.Emit(trace.Event{Kind: trace.KindTransfer, Job: jr.execName(),
-		Stage: jr.curStageName(), Name: ts.dstName, Tenant: jr.job.Spec.Tenant,
-		Cause: ts.cause, Machine: int(ts.src), Dst: int(ts.dst), Part: ts.part, Bytes: ts.bytes,
-		Time: now, Start: start, End: start + dur, Stall: start - now,
-		Incast:  inFree > now && inFree >= egFree,
-		Attempt: ts.attempt, Degraded: factor > 1})
-	s.push(&event{at: start + dur, kind: evTransferDone, jr: jr, traceSeq: seq})
-}
-
-func (s *service) onTransferRetry(e *event) {
-	ts := e.transfer
-	jr := ts.jr
-	jr.rec.TransferRetries++
-	retrySeq := s.tr.Emit(trace.Event{Kind: trace.KindTransferRetry, Job: jr.execName(),
-		Stage: jr.curStageName(), Name: ts.dstName, Tenant: jr.job.Spec.Tenant,
-		Cause: e.traceSeq, Machine: int(ts.src), Dst: int(ts.dst), Part: ts.part,
-		Time: e.at, Attempt: ts.attempt})
-	s.noteStageEvent(jr, e.at, retrySeq)
-	ts.cause = retrySeq
-	s.dispatch(ts, e.at)
-}
-
-// finishStage closes jr's stage barrier, accrues fair-share vruntime,
-// releases the run slot and runs a schedule pass with jr competing to
-// continue (or completing the job).
-func (s *service) finishStage(jr *jobRun, now float64) {
-	plan := jr.curPlan()
-	stage := plan.Stages[jr.stageIdx]
-	endSeq := s.tr.Emit(trace.Event{Kind: trace.KindStageEnd, Job: jr.execName(),
-		Stage: stage.Name, Tenant: jr.job.Spec.Tenant, Cause: jr.stageEndCause,
-		Machine: trace.None, Dst: trace.None, Part: trace.None, Time: jr.stageEnd})
+// onBarrier is jr's engine barrier hook, run after each stage-end (and
+// job-end): the stage's machine-seconds accrue to the tenant's fair-share
+// vruntime, the run slot is released, and a schedule pass runs with jr
+// competing to continue (or completing the job).
+func (s *service) onBarrier(jr *jobRun, x *engine.Exec) {
+	now := s.r.Clock()
 	s.active--
-	s.vruntime[jr.job.Spec.Tenant] += jr.stageMach
-	jr.nextCause = endSeq
-	jr.stageIdx++
-	if jr.stageIdx >= len(plan.Stages) {
-		jobEndSeq := s.tr.Emit(trace.Event{Kind: trace.KindJobEnd, Job: jr.execName(),
-			Tenant: jr.job.Spec.Tenant, Cause: endSeq, Machine: trace.None,
-			Dst: trace.None, Part: trace.None, Time: jr.stageEnd})
-		jr.nextCause = jobEndSeq
+	s.vruntime[jr.job.Spec.Tenant] += x.Busy()
+	jr.nextCause = x.EndSeq()
+	if x.Done() {
 		jr.planIdx++
-		jr.stageIdx = 0
 		if jr.planIdx >= len(jr.job.Plan) {
 			jr.state = jsDone
-			jr.rec.Finished = jr.stageEnd
+			jr.rec.Finished = now
 			s.schedule(now, nil)
 			return
 		}
+		s.startPlan(jr)
 	}
 	jr.state = jsBarrier
 	s.schedule(now, jr)

@@ -296,20 +296,22 @@ func taskMachines(evs []trace.Event) map[cluster.MachineID]int {
 	return out
 }
 
-// TestDrainReroutesPinnedTasks: at a stage barrier the service reroutes
-// tasks whose pinned machine is draining or not yet joined to the
-// least-loaded accepting machine, deterministically.
+// TestDrainReroutesPinnedTasks: a job placed after machine 1 drained and
+// before machine 3 joined reroutes the tasks pinned to either, through the
+// engine's placement: with no replicas, to the first available machine.
 func TestDrainReroutesPinnedTasks(t *testing.T) {
 	topo := cluster.NewT1(4)
-	// Machine 1 drains at t=0; machine 3 does not join until t=100. Tasks
-	// pinned to either must land elsewhere.
+	// Machine 1 drains at t=0; machine 3 does not join until t=100. The job
+	// arrives at t=1, once the drain has taken effect. Tasks pinned to
+	// either machine must land elsewhere.
 	sched := &fault.Schedule{
 		Joins:  []fault.MachineJoin{{Machine: 3, At: 100}},
 		Drains: []fault.MachineDrain{{Machine: 1, At: 0, Deadline: 100}},
 	}
+	job := pinnedJob("j", 0, 1, 2, 3)
+	job.Spec.Submit = 1
 	rec := trace.NewRecorder()
-	recs, err := Run(Config{Topo: topo, Policy: FIFO, Trace: rec, Faults: sched},
-		[]Job{pinnedJob("j", 0, 1, 2, 3)})
+	recs, err := Run(Config{Topo: topo, Policy: FIFO, Trace: rec, Faults: sched}, []Job{job})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,15 +325,16 @@ func TestDrainReroutesPinnedTasks(t *testing.T) {
 	if got[0]+got[2] != 4 {
 		t.Fatalf("rerouted tasks lost: %v", got)
 	}
-	// Least-loaded tie-break: the two displaced tasks split across the two
-	// accepting machines rather than piling onto one.
-	if got[0] != 2 || got[2] != 2 {
-		t.Fatalf("reroute did not balance load: %v", got)
+	// First-available rule: both displaced tasks land on machine 0.
+	if got[0] != 3 || got[2] != 1 {
+		t.Fatalf("reroute did not pick the first available machine: %v", got)
 	}
 }
 
-// TestRerouteKeepsPinWhenNothingAccepts: with every machine draining the
-// reroute has no target, so tasks keep their pins instead of deadlocking.
+// TestRerouteKeepsPinWhenNothingAccepts: every machine drains at the
+// instant the job arrives. A drain takes effect when its event pops, after
+// the same-instant arrival has placed the job, so tasks keep their pins
+// (and finish on the draining machines) instead of deadlocking.
 func TestRerouteKeepsPinWhenNothingAccepts(t *testing.T) {
 	topo := cluster.NewT1(2)
 	sched := &fault.Schedule{Drains: []fault.MachineDrain{

@@ -66,28 +66,21 @@ func ReadPartition(r io.Reader) (*PartitionData, error) {
 	if hdr[1] != partVersion {
 		return nil, fmt.Errorf("storage: unsupported partition version %d", hdr[1])
 	}
-	n := int(hdr[3])
-	pd := &PartitionData{
-		ID:        partition.PartID(hdr[2]),
-		Vertices:  make([]graph.VertexID, n),
-		Adjacency: make([][]graph.VertexID, n),
-	}
-	for i := 0; i < n; i++ {
+	// The header's vertex count and each degree are claims, not sizes to
+	// allocate: the lists grow as vertices actually arrive and neighbors
+	// are read in bounded slabs, so a lying header costs at most one slab.
+	pd := &PartitionData{ID: partition.PartID(hdr[2])}
+	for i := uint32(0); i < hdr[3]; i++ {
 		var vh [2]uint32
 		if err := binary.Read(br, binary.LittleEndian, &vh); err != nil {
 			return nil, fmt.Errorf("storage: reading vertex %d: %w", i, err)
 		}
-		pd.Vertices[i] = graph.VertexID(vh[0])
-		d := int(vh[1])
-		const maxDegree = 1 << 28
-		if d > maxDegree {
-			return nil, fmt.Errorf("storage: implausible degree %d", d)
+		ns, err := graph.ReadChunked[graph.VertexID](br, uint64(vh[1]), "neighbors")
+		if err != nil {
+			return nil, fmt.Errorf("storage: vertex %d: %w", i, err)
 		}
-		ns := make([]graph.VertexID, d)
-		if err := binary.Read(br, binary.LittleEndian, ns); err != nil {
-			return nil, fmt.Errorf("storage: reading neighbors of vertex %d: %w", i, err)
-		}
-		pd.Adjacency[i] = ns
+		pd.Vertices = append(pd.Vertices, graph.VertexID(vh[0]))
+		pd.Adjacency = append(pd.Adjacency, ns)
 	}
 	return pd, nil
 }
