@@ -5,7 +5,7 @@
 # so -race exercises the concurrent Transfer/Combine/Map/Reduce paths for
 # real data races. The smoke step then exercises the observability layer
 # end to end: generate a graph, run a traced NR job on the heterogeneous
-# topology, validate both trace exports, attribute the run's makespan with
+# topology, validate both trace exports with surfer-analyze, attribute the run's makespan with
 # surfer-analyze, and check the bench -json report against its own schema
 # via the -compare gate.
 set -eux
@@ -64,12 +64,23 @@ go test -race ./...
 go run ./cmd/surfer-gen -kind social -vertices 4096 -seed 42 -out "$smoke/g.srfg"
 go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t3 \
     -machines 8 -levels 2 -trace "$smoke/trace.json" -events "$smoke/run.events"
-go run ./cmd/surfer-trace -in "$smoke/trace.json"
-go run ./cmd/surfer-trace -in "$smoke/run.events" -breakdown
+go run ./cmd/surfer-analyze -trace "$smoke/trace.json"
+go run ./cmd/surfer-analyze -trace "$smoke/run.events" -breakdown
 # Critical-path analysis gate: the analyzer must accept its own capture
 # (nonzero exit on a malformed or acausal stream) and emit the blame table.
 go run ./cmd/surfer-analyze -trace "$smoke/run.events" > "$smoke/report.txt"
 grep -q "blame attribution" "$smoke/report.txt"
+# Fig 10 capture smoke: the fault-tolerance experiment's event stream holds
+# the kill run — the analyzer accepts it, its breakdown shows the failed
+# machine, the lost task and the retry — and the series derived from it
+# carry the cluster disk I/O the figure plots.
+go run ./cmd/surfer-bench -experiment fig10 -vertices 4096 -machines 8 \
+    -levels 3 -events "$smoke/f.events" > /dev/null
+go run ./cmd/surfer-analyze -trace "$smoke/f.events" > /dev/null
+go run ./cmd/surfer-analyze -trace "$smoke/f.events" -breakdown > "$smoke/f-breakdown.txt"
+grep -q "lost=1 FAILED" "$smoke/f-breakdown.txt"
+grep -q "retries=1" "$smoke/f-breakdown.txt"
+go run ./cmd/surfer-metrics -trace "$smoke/f.events" -json | grep -q '"disk-bytes"'
 # Bench report schema + regression gate: a small table1 run must emit a
 # valid surfer-bench/v1 report, and comparing it against itself must pass.
 go run ./cmd/surfer-bench -experiment table1 -vertices 8192 -machines 8 \
@@ -137,7 +148,7 @@ go run ./cmd/surfer-analyze -compare BENCH_multitenant.json "$smoke/mt.json" -th
 # CLI surface smoke: every tool the README quickstart documents must build
 # and print its usage on -h. (go run exits nonzero on -h; the pipeline's
 # status is grep's, which is what we assert.)
-for tool in surfer-gen surfer-part surfer-run surfer-bench surfer-trace \
+for tool in surfer-gen surfer-part surfer-run surfer-bench \
     surfer-lint surfer-analyze surfer-submit surfer-tune surfer-metrics; do
     go run "./cmd/$tool" -h 2>&1 | grep -q '^Usage'
 done

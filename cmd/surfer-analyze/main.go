@@ -5,21 +5,28 @@
 // Usage:
 //
 //	surfer-analyze -trace run.events [-json]
+//	surfer-analyze -trace run.events -breakdown
+//	surfer-analyze -trace trace.json
 //	surfer-analyze -autoscale run.events [-json]
 //	surfer-analyze -diff a.events b.events [-json]
 //	surfer-analyze -compare old.json new.json [-threshold 5%]
 //
 // -trace reconstructs the causal DAG from one stream, extracts the
 // critical path, and attributes every second of the makespan to a blame
-// category (see docs/METRICS.md §6). -diff analyzes two streams of the
-// same workload and reports per-stage / per-category deltas plus the
-// regressing links and machines. -compare checks a surfer-bench -json
-// report against a baseline and exits nonzero when any gated metric
-// regressed past the threshold, which makes it usable as a CI gate.
+// category (see docs/METRICS.md §6); -breakdown prints the job → stage →
+// machine table (trace.Summarize) instead. A Chrome trace_event export
+// (surfer-run -trace) is validated and summarized; a malformed file of
+// either format exits nonzero. -diff analyzes two streams of the same
+// workload and reports per-stage / per-category deltas plus the regressing
+// links and machines. -compare checks a surfer-bench -json report against a
+// baseline and exits nonzero when any gated metric regressed past the
+// threshold, which makes it usable as a CI gate.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -37,7 +44,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("surfer-analyze: ")
 	var (
-		traceIn   = flag.String("trace", "", "raw event stream to analyze (from surfer-run -events)")
+		traceIn   = flag.String("trace", "", "raw event stream to analyze (from surfer-run -events), or a Chrome trace export to validate (from surfer-run -trace)")
+		breakdown = flag.Bool("breakdown", false, "with -trace: print the job→stage→machine accounting table instead of the critical-path report (raw event streams only)")
 		doDiff    = flag.Bool("diff", false, "diff two raw event streams given as positional args: A.events B.events")
 		doCompare = flag.Bool("compare", false, "gate a bench report against a baseline, positional args: old.json new.json")
 		threshold = flag.String("threshold", "5%", "regression threshold for -compare (percent; trailing % optional)")
@@ -73,9 +81,8 @@ func main() {
 		if len(args) != 2 {
 			log.Fatal("-diff wants two positional args: A.events B.events")
 		}
-		a := analyzeFile(args[0])
-		b := analyzeFile(args[1])
-		d := analyze.Diff(a, b)
+		a := analyzeStream(args[0], loadStream(args[0]))
+		d := analyze.Diff(a, analyzeStream(args[1], loadStream(args[1])))
 		if *asJSON {
 			must(analyze.WriteDiffJSON(os.Stdout, d))
 		} else {
@@ -84,12 +91,7 @@ func main() {
 	case *autoscale != "":
 		runAutoscale(*autoscale, *asJSON)
 	case *traceIn != "":
-		r := analyzeFile(*traceIn)
-		if *asJSON {
-			must(analyze.WriteJSON(os.Stdout, r))
-		} else {
-			must(analyze.WriteText(os.Stdout, r))
-		}
+		runTrace(*traceIn, *breakdown, *asJSON)
 	default:
 		log.Fatal("nothing to do: want -trace f, -autoscale f, -diff a b, or -compare old new")
 	}
@@ -99,15 +101,7 @@ func main() {
 // With -json it emits the plan's fault-schedule file (the format surfer-run
 // -fail consumes), so recommendation → replay is one pipe.
 func runAutoscale(path string, asJSON bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	s, err := trace.ReadEvents(f)
-	if err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
+	s := loadStream(path)
 	if s.Topo == nil {
 		log.Fatalf("%s: no topology header (write the stream with surfer-run -events, not surfer-bench)", path)
 	}
@@ -142,10 +136,38 @@ func runAutoscale(path string, asJSON bool) {
 	}
 }
 
-// analyzeFile loads a raw event stream and runs the critical-path
-// analysis. A topology header in the stream enables the link-utilization
-// section; without one the report simply omits it.
-func analyzeFile(path string) *analyze.Report {
+// runTrace analyzes the raw event stream in path — or, with breakdown,
+// prints its job → stage → machine table — and validates a Chrome export.
+func runTrace(path string, breakdown, asJSON bool) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	s, err := trace.ReadEvents(bytes.NewReader(data))
+	if errors.Is(err, trace.ErrNotStream) {
+		if breakdown {
+			log.Fatalf("%s: -breakdown needs a raw event stream (surfer-run -events); Chrome exports drop the event fields it is computed from", path)
+		}
+		checkChrome(path, data)
+		return
+	}
+	if err != nil {
+		log.Fatalf("%s: %v", path, err)
+	}
+	if breakdown {
+		printBreakdown(path, s)
+		return
+	}
+	r := analyzeStream(path, s)
+	if asJSON {
+		must(analyze.WriteJSON(os.Stdout, r))
+	} else {
+		must(analyze.WriteText(os.Stdout, r))
+	}
+}
+
+// loadStream reads and validates the raw event stream in path.
+func loadStream(path string) *trace.Stream {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -155,6 +177,13 @@ func analyzeFile(path string) *analyze.Report {
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}
+	return s
+}
+
+// analyzeStream runs the critical-path analysis. A topology header in the
+// stream enables the link-utilization section; without one the report
+// simply omits it.
+func analyzeStream(path string, s *trace.Stream) *analyze.Report {
 	var topo *cluster.Topology
 	if s.Topo != nil {
 		topo = cluster.NewTopologyFromMatrix(s.Topo.Name, s.Topo.Bandwidth)

@@ -43,7 +43,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "random seed")
 		workers    = flag.Int("workers", 0, "compute worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the run to this file (open in chrome://tracing or Perfetto)")
-		eventsOut  = flag.String("events", "", "write the raw event stream (with topology header) to this file for surfer-analyze / surfer-trace -breakdown")
+		eventsOut  = flag.String("events", "", "write the raw event stream (with topology header) to this file for surfer-analyze -trace")
 		failSpec   = flag.String("fail", "", "comma-separated machine deaths as machine@time (virtual seconds), e.g. 2@1.5,7@3, or a .json fault-schedule file (kills, link faults, slowdowns, joins, drains); failed partitions fail over to replicas")
 		heartbeat  = flag.Float64("heartbeat", 0, "failure-detection latency in virtual seconds (0 = engine default, 1s)")
 		metricsOut = flag.String("metrics", "", "sample windowed time series live during the run and write the series set to this file (surfer-metrics reads it, or derives the identical set from -events output)")

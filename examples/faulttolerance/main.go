@@ -60,11 +60,14 @@ func main() {
 	fmt.Printf("baseline: %.4f s, %d task executions\n", baseM.ResponseSeconds, baseM.TasksRun)
 
 	// Same system with machine 2 scheduled to die mid-run.
+	// The run is traced: the job manager's view below reads its events.
 	killAt := baseM.ResponseSeconds * 0.3
+	rec := surfer.NewTraceRecorder()
 	faulty, err := surfer.Build(surfer.Config{
 		Graph: g, Topology: topo, Levels: 4, Seed: 3,
 		Failures:          []surfer.Failure{{Machine: 2, At: killAt}},
 		HeartbeatInterval: baseM.ResponseSeconds / 20,
+		Trace:             rec,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -87,15 +90,16 @@ func main() {
 	}
 	fmt.Printf("max rank difference vs baseline: %.2e (must be 0)\n", maxDiff)
 
-	// The job manager's view: per-machine utilization; the dead machine
-	// stops accumulating.
+	// The job manager's view: per-machine utilization, the task busy time
+	// of the event stream over the elapsed clock; the dead machine stops
+	// accumulating.
 	fmt.Println("machine utilization after the run:")
-	for machine, u := range r.MachineUtilization() {
+	for _, mb := range surfer.SummarizeTrace(rec.Events()).PerMachine() {
 		marker := ""
-		if machine == 2 {
+		if mb.Machine == 2 {
 			marker = "   <- killed"
 		}
-		fmt.Printf("  machine %d: %5.1f%%%s\n", machine, 100*u, marker)
+		fmt.Printf("  machine %d: %5.1f%%%s\n", mb.Machine, 100*mb.ComputeSeconds/r.Clock(), marker)
 	}
 
 	// Multi-job view: the job scheduler runs competing users' jobs with

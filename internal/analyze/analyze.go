@@ -95,7 +95,7 @@ type Report struct {
 // Analyze validates the stream's causal envelope, walks the critical path
 // and builds the full report. topo may be nil (no link report then).
 func Analyze(events []trace.Event, topo *cluster.Topology) (*Report, error) {
-	if err := validate(events); err != nil {
+	if err := trace.CheckEvents(events, trace.MaxMachines); err != nil {
 		return nil, err
 	}
 	last := -1
@@ -207,19 +207,6 @@ func Analyze(events []trace.Event, topo *cluster.Topology) (*Report, error) {
 		rep.Links = linkReport(events, topo, events[root].Time, events[last].Time)
 	}
 	return rep, nil
-}
-
-// validate checks the causal envelope Analyze depends on.
-func validate(events []trace.Event) error {
-	for i := range events {
-		if events[i].Seq != i {
-			return fmt.Errorf("analyze: event %d carries seq %d; stream is reordered or truncated", i, events[i].Seq)
-		}
-		if events[i].Cause < trace.None || events[i].Cause >= i {
-			return fmt.Errorf("analyze: event %d has acausal cause %d", i, events[i].Cause)
-		}
-	}
-	return nil
 }
 
 func eventAt(events []trace.Event, i int) *trace.Event {
@@ -396,18 +383,17 @@ func sortRows(rows map[string]*StageBlame) []*StageBlame {
 	return out
 }
 
-// machineCompute sums task busy seconds per machine over the whole stream.
+// machineCompute sums task busy seconds per machine over the whole stream
+// (task-ends without a machine are skipped). Machine ids are bounded by
+// trace.CheckEvents.
 func machineCompute(events []trace.Event) []float64 {
-	maxM := -1
+	out := []float64{}
 	for i := range events {
-		if events[i].Kind == trace.KindTaskEnd && events[i].Machine > maxM {
-			maxM = events[i].Machine
-		}
-	}
-	out := make([]float64, maxM+1)
-	for i := range events {
-		if events[i].Kind == trace.KindTaskEnd {
-			out[events[i].Machine] += events[i].End - events[i].Start
+		if ev := &events[i]; ev.Kind == trace.KindTaskEnd && ev.Machine >= 0 {
+			for len(out) <= ev.Machine {
+				out = append(out, 0)
+			}
+			out[ev.Machine] += ev.End - ev.Start
 		}
 	}
 	return out

@@ -103,7 +103,7 @@ func Autoscale(events []trace.Event, topo *cluster.Topology, policy AutoscalePol
 		return nil, fmt.Errorf("analyze: autoscale needs the trace's topology header")
 	}
 	p := policy.WithDefaults()
-	if err := validate(events); err != nil {
+	if err := trace.CheckEvents(events, trace.MaxMachines); err != nil {
 		return nil, err
 	}
 	n := topo.NumMachines()

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestTable1Shapes(t *testing.T) {
@@ -194,7 +196,9 @@ func TestFig9Shapes(t *testing.T) {
 }
 
 func TestFig10Shapes(t *testing.T) {
-	res, err := Fig10(TestScale())
+	s := TestScale()
+	s.Trace = trace.NewRecorder()
+	res, err := Fig10(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +211,19 @@ func TestFig10Shapes(t *testing.T) {
 	if res.Recoveries < 1 {
 		t.Error("no recoveries recorded")
 	}
-	if len(res.Timeline) == 0 {
+	if len(res.DiskBytes) == 0 {
 		t.Error("empty timeline")
+	}
+	// The capture holds the kill run: the failure, the lost task and the
+	// retry.
+	kinds := make(map[trace.EventKind]int)
+	for _, ev := range s.Trace.Events() {
+		kinds[ev.Kind]++
+	}
+	for _, k := range []trace.EventKind{trace.KindFailure, trace.KindTaskLost, trace.KindRetry} {
+		if kinds[k] == 0 {
+			t.Errorf("Scale.Trace capture holds no %s event", k)
+		}
 	}
 }
 

@@ -3,14 +3,17 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/propagation"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // ---------------------------------------------------------------- Table 1
@@ -361,14 +364,17 @@ type Fig10Result struct {
 	Recoveries    int
 	KilledMachine cluster.MachineID
 	KillAtSec     float64
-	// Timeline is the disk-I/O rate series of the recovered run.
-	Timeline []engine.IOSample
+	// DiskBytes is the recovered run's disk traffic per Window-wide bucket:
+	// the disk-bytes series of its own event stream.
+	Window    float64
+	DiskBytes []float64
 }
 
 // Fig10 runs NR, kills one slave mid-run and reports the recovery overhead
 // and the disk-I/O timeline. The experiment designs its own kill, so
 // scale-level Failures are ignored here; transient faults (Scale.Faults)
-// apply to the baseline and the killed runs alike.
+// apply to the baseline and the killed runs alike. The chosen kill run
+// records into Scale.Trace when one is set.
 func Fig10(s Scale) (*Fig10Result, error) {
 	s.Failures = nil
 	topo := cluster.NewT1(s.Machines)
@@ -411,21 +417,25 @@ func Fig10(s Scale) (*Fig10Result, error) {
 		}
 		probeResp = cm.ResponseSeconds
 	}
-	var m engine.Metrics
-	var r *engine.Runner
-	killAt := probeResp / 3
-	found := false
-	for _, frac := range []float64{0.05, 0.15, 0.25, 1.0 / 3, 0.45, 0.55, 0.65, 0.75} {
-		cand := engine.New(engine.Config{
+	kill := func(at float64, rec *trace.Recorder) (engine.Metrics, error) {
+		r := engine.New(engine.Config{
 			Topo:              topo,
 			Replicas:          replicas,
-			Failures:          []engine.Failure{{Machine: victim, At: probeResp * frac}},
+			Failures:          []engine.Failure{{Machine: victim, At: at}},
 			HeartbeatInterval: probeResp / 20,
 			Faults:            s.Faults,
 			Retry:             s.Retry,
 			Speculation:       s.Speculation,
+			Trace:             rec,
 		})
-		_, cm, err := app.RunPropagation(cand, d.PG, d.PlaceBA, d.Options(O4))
+		_, m, err := app.RunPropagation(r, d.PG, d.PlaceBA, d.Options(O4))
+		return m, err
+	}
+	var m engine.Metrics
+	killAt := probeResp / 3
+	found := false
+	for _, frac := range []float64{0.05, 0.15, 0.25, 1.0 / 3, 0.45, 0.55, 0.65, 0.75} {
+		cm, err := kill(probeResp*frac, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -435,14 +445,34 @@ func Fig10(s Scale) (*Fig10Result, error) {
 		// actively serving the job).
 		if cm.Recoveries > 0 && (!found || cm.ResponseSeconds > m.ResponseSeconds) {
 			found = true
-			m, r = cm, cand
+			m = cm
 			killAt = probeResp * frac
 		}
 	}
 	if !found {
 		return nil, fmt.Errorf("bench: failure injection produced no recoveries at any probed time")
 	}
+	// Replay the chosen kill traced: the disk-I/O timeline is the metrics
+	// fold of its own events.
+	rec := s.Trace
+	if rec == nil {
+		rec = trace.NewRecorder()
+	}
+	from := rec.Len()
+	if _, err := kill(killAt, rec); err != nil {
+		return nil, err
+	}
 	width := m.ResponseSeconds / 40
+	set, _, err := metrics.FromEvents(rec.Events()[from:], metrics.Config{Window: width})
+	if err != nil {
+		return nil, err
+	}
+	disk := make([]float64, int(m.ResponseSeconds/width)+1)
+	if series := set.Lookup("disk-bytes"); series != nil {
+		for w, b := range series.Values {
+			disk[min(w, len(disk)-1)] += b
+		}
+	}
 	return &Fig10Result{
 		NormalSec:     base.ResponseSeconds,
 		RecoveredSec:  m.ResponseSeconds,
@@ -450,7 +480,8 @@ func Fig10(s Scale) (*Fig10Result, error) {
 		Recoveries:    m.Recoveries,
 		KilledMachine: victim,
 		KillAtSec:     killAt,
-		Timeline:      r.Timeline().Buckets(width, m.ResponseSeconds),
+		Window:        width,
+		DiskBytes:     disk,
 	}, nil
 }
 
@@ -462,16 +493,12 @@ func WriteFig10(w io.Writer, res *Fig10Result) {
 		res.RecoveredSec, res.KilledMachine, res.KillAtSec, res.Recoveries)
 	fmt.Fprintf(w, "overhead:      %.1f%%\n", res.OverheadPct)
 	fmt.Fprintln(w, "disk I/O rate over time (MB per bucket):")
-	for _, s := range res.Timeline {
-		bars := int(float64(s.DiskBytes) / 1e6 / 4)
+	for i, b := range res.DiskBytes {
+		bars := int(b / 1e6 / 4)
 		if bars > 60 {
 			bars = 60
 		}
-		fmt.Fprintf(w, "  t=%8.3f %8.2f ", s.Time, float64(s.DiskBytes)/1e6)
-		for i := 0; i < bars; i++ {
-			fmt.Fprint(w, "#")
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "  t=%8.3f %8.2f %s\n", float64(i)*res.Window, b/1e6, strings.Repeat("#", bars))
 	}
 }
 

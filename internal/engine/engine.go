@@ -66,17 +66,11 @@ type Config struct {
 // virtual clock and metrics across jobs, so a multi-iteration application
 // can run each iteration as a separate job and read cumulative metrics.
 type Runner struct {
-	cfg      Config
-	pool     *Pool
-	clock    float64
-	metrics  Metrics
-	timeline Timeline
-	dead     map[cluster.MachineID]bool
-	// progress tracking (Appendix B): per-machine busy time and the task
-	// completion timeline of the current job.
-	busySeconds   []float64
-	progress      []ProgressSample
-	progressTotal int
+	cfg     Config
+	pool    *Pool
+	clock   float64
+	metrics Metrics
+	dead    map[cluster.MachineID]bool
 	// tr receives structured trace events; nil means tracing is disabled
 	// and every emission site reduces to a nil check.
 	tr *trace.Recorder
@@ -208,9 +202,6 @@ func (r *Runner) Metrics() Metrics {
 	m.ResponseSeconds = r.clock
 	return m
 }
-
-// Timeline exposes the recorded disk-I/O timeline.
-func (r *Runner) Timeline() *Timeline { return &r.timeline }
 
 // Clock returns the current virtual time.
 func (r *Runner) Clock() float64 { return r.clock }
@@ -451,11 +442,6 @@ func (r *Runner) Run(job *Job) (Metrics, error) {
 	}
 	before := r.metrics
 	start := r.clock
-	total := 0
-	for _, st := range job.Stages {
-		total += len(st.Tasks)
-	}
-	r.resetProgress(total)
 	// A job begins because the previous one ended — except a rollback
 	// replay, which begins because a machine died.
 	jobCause := r.lastJobEnd
@@ -662,10 +648,15 @@ func (r *Runner) emitIn(sr *stageRun, ev trace.Event) int {
 func (sr *stageRun) emit(ev trace.Event) int { return sr.r.emitIn(sr, ev) }
 
 // emitTask emits a task-lifecycle trace event and returns its Seq (None when
-// tracing is off, via the nil-safe Emit).
+// tracing is off, via the nil-safe Emit). Task-start and task-end events
+// carry the task's disk volumes.
 func (sr *stageRun) emitTask(kind trace.EventKind, t *Task, m cluster.MachineID, at, start, end float64, cause int) int {
-	return sr.emit(trace.Event{Kind: kind, Name: t.Name, Cause: cause, Machine: int(m),
-		Dst: trace.None, Part: int(t.Part), Time: at, Start: start, End: end})
+	ev := trace.Event{Kind: kind, Name: t.Name, Cause: cause, Machine: int(m),
+		Dst: trace.None, Part: int(t.Part), Time: at, Start: start, End: end}
+	if kind == trace.KindTaskStart || kind == trace.KindTaskEnd {
+		ev.DiskRead, ev.DiskWrite = t.DiskRead, t.DiskWrite
+	}
+	return sr.emit(ev)
 }
 
 // push enqueues a simulation event, copying it into a recycled record and
@@ -698,7 +689,6 @@ func (r *Runner) startNext(m cluster.MachineID, now float64, cause int) {
 		// Stragglers: a machine slowed by a transient fault stretches
 		// every task that starts during the slowdown window.
 		dur := r.taskDuration(t) * r.faults.SlowdownFactor(m, now)
-		r.timeline.record(now, t.DiskRead)
 		startSeq := sr.emitTask(trace.KindTaskStart, t, m, now, now, 0, cause)
 		sr.attempts = append(sr.attempts, runAttempt{task: t, machine: m, dur: dur})
 		r.push(event{sr: sr, at: now + dur, kind: evTaskDone, task: t, machine: m, start: now, dur: dur, startSeq: startSeq})
@@ -736,8 +726,6 @@ func (sr *stageRun) onTaskDone(e *event) int {
 	acct.TasksRun++
 	sr.busy += e.dur
 	endSeq := sr.emitTask(trace.KindTaskEnd, t, e.machine, e.at, e.start, e.at, e.startSeq)
-	r.noteTaskDone(e.machine, e.at, e.dur, r.progressTotal)
-	r.timeline.record(e.at, t.DiskWrite)
 	r.running[e.machine]--
 	sr.copies[t.idx]--
 	// This completion frees a slot: whatever launches next is its effect.

@@ -1,14 +1,14 @@
 // Package metrics is Surfer's windowed time-series layer: it folds the trace
 // event stream into fixed virtual-clock windows — per-directed-link and
 // per-bisection-level utilization, per-machine NIC queue depth, running
-// tasks and inflight bytes, per-tenant slot occupancy and admission wait,
-// and retry/migration/checkpoint rates — and evaluates SLO alert rules
-// against the sealed windows as they close.
+// tasks and inflight bytes, cluster disk I/O, per-tenant slot occupancy and
+// admission wait, and retry/migration/checkpoint rates — and evaluates SLO
+// alert rules against the sealed windows as they close.
 //
 // The same Collector serves both sampling paths. Live, it attaches to the
 // engine's trace.Recorder as an Emit observer and folds each event the
 // moment the serial event loop emits it; offline, FromEvents replays a
-// captured surfer-trace-events stream through the identical Observe loop in
+// captured raw event stream through the identical Observe loop in
 // Seq order. Because the two paths execute the same code over the same
 // ordered stream, their exported series are byte-identical — for every
 // worker count, with or without faults and elastic churn — which is what
@@ -189,6 +189,15 @@ func (c *Collector) addSpan(s *series, lo, hi, rate float64) {
 	})
 }
 
+// disk charges bytes of cluster disk I/O to the window containing t. The
+// series exists once a task ran; zero-byte events do not extend it.
+func (c *Collector) disk(t float64, bytes int64) {
+	s := c.at("disk-bytes", classSum)
+	if bytes != 0 {
+		c.addAt(s, t, float64(bytes))
+	}
+}
+
 // counter applies a step change of delta at time t to a time-weighted
 // counter series: the level held since the last change is flushed into the
 // windows it spanned, then the level steps.
@@ -291,10 +300,16 @@ func (c *Collector) Observe(ev trace.Event) {
 		if ev.Kind == trace.KindPartitionMigrate {
 			c.addAt(c.at("rate-migrations", classSum), ev.Time, 1)
 		}
+	case trace.KindTaskStart:
+		// Disk I/O: a task's read is charged when it starts — so the reads
+		// of attempts later lost to a failure count — and its write when it
+		// ends.
+		c.disk(ev.Time, ev.DiskRead)
 	case trace.KindTaskEnd:
 		if ev.Machine >= 0 {
 			c.addSpan(c.at(fmt.Sprintf("machine-tasks:%d", ev.Machine), classAvg), ev.Start, ev.End, 1)
 		}
+		c.disk(ev.Time, ev.DiskWrite)
 	case trace.KindTransferDrop:
 		if ev.Machine >= 0 {
 			c.addSpan(c.at(fmt.Sprintf("machine-queue:%d", ev.Machine), classAvg), ev.Time, ev.Start, 1)

@@ -332,3 +332,63 @@ func TestAutoscalePlanUnchangedByRewire(t *testing.T) {
 		t.Fatalf("drains = %+v", plan.Drains)
 	}
 }
+
+// TestDiskBytesSeries: the disk-bytes series charges a task's read at its
+// start and its write at its end, so it sums to the task's volumes — and on
+// a run with a kill it also carries the read of the attempt the failure
+// lost, which Metrics.DiskBytes (completed tasks only) does not.
+func TestDiskBytesSeries(t *testing.T) {
+	bw := int64(cluster.NewT1(2).DiskBandwidth())
+	run := func(cfg engine.Config) ([]float64, engine.Metrics) {
+		t.Helper()
+		rec := trace.NewRecorder()
+		cfg.Topo, cfg.Trace = cluster.NewT1(2), rec
+		r := engine.New(cfg)
+		m, err := r.Run(&engine.Job{Name: "io", Stages: []*engine.Stage{{Name: "s", Tasks: []*engine.Task{
+			{Name: "t", Part: 0, Machine: 1, DiskRead: bw, DiskWrite: bw},
+		}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, _, err := metrics.FromEvents(rec.Events(), metrics.Config{Window: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := set.Lookup("disk-bytes")
+		if s == nil {
+			t.Fatal("no disk-bytes series")
+		}
+		return s.Values, m
+	}
+	sum := func(vs []float64) (total float64) {
+		for _, v := range vs {
+			total += v
+		}
+		return total
+	}
+
+	// One disk-second of read, one of write: read in window 0, write at t=2.
+	vs, m := run(engine.Config{})
+	if got, want := sum(vs), float64(2*bw); got != want || float64(m.DiskBytes) != want {
+		t.Fatalf("disk-bytes sum = %g, Metrics.DiskBytes = %d, want %g", got, m.DiskBytes, want)
+	}
+	if vs[0] != float64(bw) || vs[2] != float64(bw) {
+		t.Fatalf("disk-bytes = %v, want the read in window 0 and the write in window 2", vs)
+	}
+
+	// Machine 1 dies mid-task; the retry on machine 0 reads again.
+	vs, m = run(engine.Config{
+		Replicas:          &storage.Replicas{Machines: [][]cluster.MachineID{{1, 0}}},
+		Failures:          []engine.Failure{{Machine: 1, At: 0.5}},
+		HeartbeatInterval: 0.1,
+	})
+	if m.Recoveries != 1 {
+		t.Fatalf("recoveries = %d, want 1", m.Recoveries)
+	}
+	if got, want := sum(vs), float64(3*bw); got != want {
+		t.Fatalf("disk-bytes sum = %g, want %g (two reads, one write)", got, want)
+	}
+	if m.DiskBytes != 2*bw {
+		t.Fatalf("Metrics.DiskBytes = %d, want %d (the completed attempt only)", m.DiskBytes, 2*bw)
+	}
+}

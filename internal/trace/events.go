@@ -9,7 +9,7 @@ import (
 
 // Raw event-stream export: unlike the Chrome export (a rendering), this
 // format round-trips the exact Event stream — Seq/Cause edges included — so
-// surfer-analyze can rebuild the causal DAG and surfer-trace -breakdown can
+// surfer-analyze can rebuild the causal DAG and surfer-analyze -breakdown can
 // recompute the job→stage→machine hierarchy from a file. The header embeds
 // the cluster's bandwidth matrix, which is what the analyzer's
 // bisection-level link report needs; a trace therefore carries everything
@@ -21,6 +21,15 @@ const (
 	StreamFormat  = "surfer-trace-events"
 	StreamVersion = 1
 )
+
+// ErrNotStream reports well-formed JSON that is not a raw event stream —
+// a Chrome export, say.
+var ErrNotStream = errors.New("trace: not a raw event trace")
+
+// MaxMachines bounds the machine ids of a stream without a topology header.
+// No simulated cluster comes near it; it caps what a reader allocates for
+// per-machine tables of a hostile file.
+const MaxMachines = 1 << 16
 
 // TopoInfo is the topology header of a raw trace: enough of the cluster
 // model to rebuild the machine graph (per-pair bandwidth) without the
@@ -83,8 +92,9 @@ func WriteEvents(w io.Writer, topo *TopoInfo, events []Event) error {
 }
 
 // ReadEvents parses a raw trace file and validates its envelope: the format
-// marker, a supported version, and consistent Seq numbering (Seq == stream
-// position, Cause < Seq) so DAG reconstruction can index events directly.
+// marker, a supported version, a consistent topology header, and the events
+// (CheckEvents) with machine ids bounded by the header (MaxMachines without
+// one).
 func ReadEvents(r io.Reader) (*Stream, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -101,20 +111,12 @@ func ReadEvents(r io.Reader) (*Stream, error) {
 		return nil, fmt.Errorf("trace: invalid raw trace JSON: %w", err)
 	}
 	if s.Format != StreamFormat {
-		return nil, fmt.Errorf("trace: not a raw event trace (format %q, want %q — Chrome exports cannot be analyzed, re-capture with -events)", s.Format, StreamFormat)
+		return nil, fmt.Errorf("%w (format %q, want %q — Chrome exports cannot be analyzed, re-capture with -events)", ErrNotStream, s.Format, StreamFormat)
 	}
 	if s.Version != StreamVersion {
 		return nil, fmt.Errorf("trace: unsupported raw trace version %d (want %d)", s.Version, StreamVersion)
 	}
-	for i := range s.Events {
-		ev := &s.Events[i]
-		if ev.Seq != i {
-			return nil, fmt.Errorf("trace: event %d carries seq %d; stream is reordered or truncated", i, ev.Seq)
-		}
-		if ev.Cause < None || ev.Cause >= ev.Seq {
-			return nil, fmt.Errorf("trace: event %d has acausal cause %d", i, ev.Cause)
-		}
-	}
+	limit := MaxMachines
 	if s.Topo != nil {
 		if s.Topo.Machines != len(s.Topo.Bandwidth) {
 			return nil, fmt.Errorf("trace: topology header claims %d machines but carries a %d-row bandwidth matrix", s.Topo.Machines, len(s.Topo.Bandwidth))
@@ -124,6 +126,30 @@ func ReadEvents(r io.Reader) (*Stream, error) {
 				return nil, fmt.Errorf("trace: bandwidth matrix row %d has %d entries, want %d", i, len(row), s.Topo.Machines)
 			}
 		}
+		limit = s.Topo.Machines
+	}
+	if err := CheckEvents(s.Events, limit); err != nil {
+		return nil, err
 	}
 	return &s, nil
+}
+
+// CheckEvents validates what stream readers index by: Seq numbering
+// (Seq == stream position, Cause < Seq) so DAG reconstruction can index
+// events directly, and machine ids (Machine, Dst) in [None, machines) so
+// per-machine folds can.
+func CheckEvents(events []Event, machines int) error {
+	for i := range events {
+		ev := &events[i]
+		if ev.Seq != i {
+			return fmt.Errorf("trace: event %d carries seq %d; stream is reordered or truncated", i, ev.Seq)
+		}
+		if ev.Cause < None || ev.Cause >= ev.Seq {
+			return fmt.Errorf("trace: event %d has acausal cause %d", i, ev.Cause)
+		}
+		if ev.Machine < None || ev.Machine >= machines || ev.Dst < None || ev.Dst >= machines {
+			return fmt.Errorf("trace: event %d names machine %d→%d outside [%d, %d)", i, ev.Machine, ev.Dst, None, machines)
+		}
+	}
+	return nil
 }

@@ -196,6 +196,11 @@ type Event struct {
 	Part int `json:"part"`
 	// Bytes is the transfer volume; 0 otherwise.
 	Bytes int64 `json:"bytes,omitempty"`
+	// DiskRead and DiskWrite are the task's local disk volumes, on
+	// task-start and task-end events; 0 otherwise. The cluster's disk I/O
+	// charges the read at the start and the write at the end.
+	DiskRead  int64 `json:"disk_read,omitempty"`
+	DiskWrite int64 `json:"disk_write,omitempty"`
 	// Time is the virtual time the event logically occurred: issue time
 	// for transfers, the clock for begin/end markers, the failure time.
 	Time float64 `json:"time"`

@@ -3,6 +3,7 @@ package surfer
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -112,5 +113,42 @@ func TestTraceThroughScheduler(t *testing.T) {
 	b := SummarizeTrace(rec.Events())
 	if len(b.Jobs) == 0 || b.Jobs[0].Name != "propagation-iter-001" {
 		t.Fatalf("unexpected traced jobs: %+v", b.Jobs)
+	}
+}
+
+// TestUtilizationFromStream: the job manager's per-machine utilization is
+// read from the event stream — each machine's task busy time in the
+// breakdown over the elapsed clock. On a run with a killed machine every
+// utilization lies in [0, 1] and the busy times sum to the engine's
+// MachineSeconds.
+func TestUtilizationFromStream(t *testing.T) {
+	g := Social(DefaultSocial(2048, 3))
+	rec := NewTraceRecorder()
+	sys, err := Build(Config{
+		Graph: g, Topology: NewT1(4), Levels: 3, Seed: 3, Trace: rec,
+		Failures:          []Failure{{Machine: 2, At: 0.001}},
+		HeartbeatInterval: 0.0005,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sys.NewRunner()
+	prog := &pagerank{g: g, n: float64(g.NumVertices())}
+	_, m, err := RunPropagation(sys, r, prog, 2, PropagationOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Recoveries == 0 {
+		t.Fatal("the kill caused no recovery")
+	}
+	var busy float64
+	for _, mb := range SummarizeTrace(rec.Events()).PerMachine() {
+		if u := mb.ComputeSeconds / r.Clock(); u < 0 || u > 1 {
+			t.Errorf("machine %d utilization %g outside [0, 1]", mb.Machine, u)
+		}
+		busy += mb.ComputeSeconds
+	}
+	if math.Abs(busy-m.MachineSeconds) > 1e-9*m.MachineSeconds {
+		t.Fatalf("busy seconds %g, Metrics.MachineSeconds %g", busy, m.MachineSeconds)
 	}
 }
