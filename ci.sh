@@ -43,9 +43,11 @@ go test -race ./internal/lint
 go test -race -short -run 'Fault|Chaos' . ./internal/...
 # Elastic-membership gate: join/drain/migration determinism, the drain
 # deadline→failure degradation, the autoscale policy, drain-aware job
-# service rerouting and the elastic churn soak (short mode), all under
-# the race detector.
-go test -race -short -run 'Elastic|Drain|Join|Migrat|Autoscale|Dormant|Retire' ./internal/...
+# service rerouting, the elastic churn soak (short mode), and the
+# deployment-path agreement test (a drain and a heartbeat-timed kill give
+# identical metrics through Build+NewRunner, the bench harness and the
+# scheduler), all under the race detector.
+go test -race -short -run 'Elastic|Drain|Join|Migrat|Autoscale|Dormant|Retire|DeploymentPaths' . ./internal/...
 # Scheduler gate, mirroring the fault gate: the multi-tenant job service's
 # policy goldens, scheduling invariants, cross-worker determinism battery,
 # committed fuzz corpus, the service-vs-engine differential test and the
@@ -62,6 +64,29 @@ go test -race ./internal/metrics
 go test -race ./...
 
 go run ./cmd/surfer-gen -kind social -vertices 4096 -seed 42 -out "$smoke/g.srfg"
+# Partitioning smoke: both strategies' distributed-partitioning cost model
+# (the bandwidth-aware sketch walk's Steps, the oblivious random subsets)
+# must run end to end and print an elapsed-time estimate each.
+go run ./cmd/surfer-part -graph "$smoke/g.srfg" -topology t2 -machines 8 \
+    -levels 3 -dot "$smoke/s.dot" > "$smoke/part.txt"
+test "$(grep -c 'est. elapsed time' "$smoke/part.txt")" -eq 2
+# Bad sizes are errors naming the size with a nonzero exit, never a Go
+# panic.
+go run ./cmd/surfer-submit -gen 2 -seed 7 -out "$smoke/bad-jobs.json"
+for args in "surfer-run -graph $smoke/g.srfg -machines 0" \
+    "surfer-part -graph $smoke/g.srfg -machines 0" \
+    "surfer-run -graph $smoke/g.srfg -levels -1" \
+    "surfer-submit -jobs $smoke/bad-jobs.json -levels -1"; do
+    if go run ./cmd/$args 2> "$smoke/bad.err"; then
+        echo "$args: accepted a bad size" >&2
+        exit 1
+    fi
+    if grep -q 'panic:' "$smoke/bad.err" ||
+        ! grep -q 'no machines\|negative level' "$smoke/bad.err"; then
+        cat "$smoke/bad.err" >&2
+        exit 1
+    fi
+done
 go run ./cmd/surfer-run -graph "$smoke/g.srfg" -app nr -topology t3 \
     -machines 8 -levels 2 -trace "$smoke/trace.json" -events "$smoke/run.events"
 go run ./cmd/surfer-analyze -trace "$smoke/trace.json"

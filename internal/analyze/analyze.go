@@ -318,48 +318,13 @@ func checkpointJobs(events []trace.Event) map[string]bool {
 	return out
 }
 
-// stageLabels computes each event's enclosing "job/stage" row label, with a
-// "#k" suffix on job names that occur more than once (repeated `mapreduce`
-// submissions stay distinguishable: "mapreduce#2/map").
+// stageLabels computes each event's enclosing "job/stage" row label on
+// top of the shared job scoping of trace.JobLabels ("mapreduce#2/map").
 func stageLabels(events []trace.Event) []string {
-	// First pass: how often does each job name begin?
-	begins := make(map[string]int)
+	labels := trace.JobLabels(events)
 	for i := range events {
-		if events[i].Kind == trace.KindJobBegin {
-			begins[events[i].Job]++
-		}
-	}
-	labels := make([]string, len(events))
-	seen := make(map[string]int)
-	// alias maps a job name to its current occurrence label. Labeling is
-	// driven by each event's own Job/Stage fields — never by "the job that
-	// last began" — because a multi-tenant stream interleaves events of
-	// concurrent jobs arbitrarily.
-	alias := make(map[string]string)
-	for i := range events {
-		ev := &events[i]
-		if ev.Kind == trace.KindJobBegin {
-			seen[ev.Job]++
-			if begins[ev.Job] > 1 {
-				alias[ev.Job] = fmt.Sprintf("%s#%d", ev.Job, seen[ev.Job])
-			} else {
-				alias[ev.Job] = ev.Job
-			}
-		}
-		if ev.Job == "" {
-			labels[i] = ""
-			continue
-		}
-		job, ok := alias[ev.Job]
-		if !ok {
-			// Scheduler events (queued/admitted/rejected) may precede the
-			// job's first begin, or the job may never begin at all.
-			job = ev.Job
-		}
-		if ev.Stage == "" {
-			labels[i] = job
-		} else {
-			labels[i] = job + "/" + ev.Stage
+		if labels[i] != "" && events[i].Stage != "" {
+			labels[i] += "/" + events[i].Stage
 		}
 	}
 	return labels

@@ -35,6 +35,13 @@ type nrProgram struct {
 	n float64
 }
 
+// NewNRProgram returns the PageRank propagation program over g, for
+// callers that drive propagation state themselves (job planning, cascaded
+// and tree-aggregated runs).
+func NewNRProgram(g *graph.Graph) propagation.Program[float64] {
+	return &nrProgram{g: g, n: float64(g.NumVertices())}
+}
+
 func (p *nrProgram) Init(graph.VertexID) float64 { return 1 / p.n }
 
 func (p *nrProgram) Transfer(src graph.VertexID, rank float64, dst graph.VertexID, emit propagation.Emit[float64]) {
@@ -64,8 +71,8 @@ func (p *nrProgram) Merge(_ graph.VertexID, values []float64) float64 {
 // RunPropagation runs the configured number of PageRank iterations and
 // returns the final rank vector.
 func (a *NR) RunPropagation(r *engine.Runner, pg *storage.PartitionedGraph, pl *partition.Placement, opt propagation.Options) (any, engine.Metrics, error) {
-	prog := &nrProgram{g: pg.G, n: float64(pg.G.NumVertices())}
-	st := propagation.NewState[float64](pg, prog)
+	prog := NewNRProgram(pg.G)
+	st := propagation.NewState(pg, prog)
 	st, m, err := propagation.RunIterations(r, pg, pl, prog, st, opt, a.iterations)
 	if err != nil {
 		return nil, m, err

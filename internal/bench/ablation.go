@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/propagation"
 )
@@ -49,7 +48,7 @@ func Ablation(s Scale) ([]AblationRow, error) {
 		unbalanced := partition.UnbalancedRandomPlacement(d.PG.Part.P, topo, s.Seed)
 		for _, app := range workloads {
 			run := func(variant string, pl *partition.Placement, opt propagation.Options) error {
-				_, m, err := app.RunPropagation(d.Runner(), d.PG, pl, opt)
+				_, m, err := app.RunPropagation(d.NewRunner(), d.PG, pl, opt)
 				if err != nil {
 					return fmt.Errorf("%s/%s/%s: %w", topo.Name(), app.Name(), variant, err)
 				}
@@ -78,31 +77,24 @@ func Ablation(s Scale) ([]AblationRow, error) {
 			if err := run("place:balanced", d.PlacePM, both); err != nil {
 				return nil, err
 			}
-			if err := run("place:sketch", d.PlaceBA, both); err != nil {
+			if err := run("place:sketch", d.Placement, both); err != nil {
 				return nil, err
 			}
 			// Tree aggregation (extension), on the spread placement
 			// where cross-pod traffic is heaviest. NR only: TFL's
 			// distinct-union merge barely shrinks bytes.
 			if app.Name() == "NR" && topo.NumPods() > 1 {
-				nr := apps.NewNR(3)
-				prog := nrTreeProgram(d.Graph)
-				st := propagation.NewState[float64](d.PG, prog)
-				st, m, err := propagation.RunIterationsTree(d.Runner(), d.PG, d.PlacePM, prog, st, both, nr.Iterations())
+				prog := apps.NewNRProgram(d.Graph)
+				st := propagation.NewState(d.PG, prog)
+				_, m, err := propagation.RunIterationsTree(d.NewRunner(), d.PG, d.PlacePM, prog, st, both, app.Iterations())
 				if err != nil {
 					return nil, err
 				}
-				_ = st
 				rows = append(rows, AblationRow{Topology: topo.Name(), App: app.Name(), Variant: "tree-aggregation", Metrics: m})
 			}
 		}
 	}
 	return rows, nil
-}
-
-// nrTreeProgram builds a PageRank program for the tree-aggregation row.
-func nrTreeProgram(g *graph.Graph) propagation.Program[float64] {
-	return nrProgramFor(g)
 }
 
 // WriteAblation renders the ablation rows.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/propagation"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -394,16 +393,15 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	// of re-executing them, so probe kill times until one interrupts a
 	// running task.
 	load := make(map[cluster.MachineID]int64)
-	for p, m := range d.PlaceBA.MachineOf {
+	for p, m := range d.Placement.MachineOf {
 		load[m] += d.PG.Parts[p].Bytes
 	}
-	victim := d.PlaceBA.MachineOf[0]
+	victim := d.Placement.MachineOf[0]
 	for m, b := range load {
 		if b > load[victim] || (b == load[victim] && m < victim) {
 			victim = m
 		}
 	}
-	replicas := storage.PlaceReplicas(d.PlaceBA, topo, s.Seed)
 	// Kill times are probed as fractions of the span in which tasks
 	// actually run. Under a transient-fault schedule the baseline response
 	// can be dominated by retry stalls (a dropped transfer holds the stage
@@ -411,7 +409,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	probeResp := base.ResponseSeconds
 	if !s.Faults.Empty() {
 		clean := engine.New(engine.Config{Topo: topo, Workers: s.Workers})
-		_, cm, err := app.RunPropagation(clean, d.PG, d.PlaceBA, d.Options(O4))
+		_, cm, err := app.RunPropagation(clean, d.PG, d.Placement, d.Options(O4))
 		if err != nil {
 			return nil, err
 		}
@@ -420,7 +418,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	kill := func(at float64, rec *trace.Recorder) (engine.Metrics, error) {
 		r := engine.New(engine.Config{
 			Topo:              topo,
-			Replicas:          replicas,
+			Replicas:          d.Replicas,
 			Failures:          []engine.Failure{{Machine: victim, At: at}},
 			HeartbeatInterval: probeResp / 20,
 			Faults:            s.Faults,
@@ -428,7 +426,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 			Speculation:       s.Speculation,
 			Trace:             rec,
 		})
-		_, m, err := app.RunPropagation(r, d.PG, d.PlaceBA, d.Options(O4))
+		_, m, err := app.RunPropagation(r, d.PG, d.Placement, d.Options(O4))
 		return m, err
 	}
 	var m engine.Metrics
@@ -589,16 +587,16 @@ func Cascade(s Scale, iterations int) (*CascadeResult, error) {
 		return nil, err
 	}
 	ci := propagation.AnalyzeCascade(d.PG)
-	prog := nrProgramFor(d.Graph)
+	prog := apps.NewNRProgram(d.Graph)
 	opt := d.Options(O4)
 
 	stA := propagation.NewState[float64](d.PG, prog)
-	_, plain, err := propagation.RunIterations(d.Runner(), d.PG, d.PlaceBA, prog, stA, opt, iterations)
+	_, plain, err := propagation.RunIterations(d.NewRunner(), d.PG, d.Placement, prog, stA, opt, iterations)
 	if err != nil {
 		return nil, err
 	}
 	stB := propagation.NewState[float64](d.PG, prog)
-	_, casc, err := propagation.RunCascaded(d.Runner(), d.PG, d.PlaceBA, prog, stB, opt, iterations, ci)
+	_, casc, err := propagation.RunCascaded(d.NewRunner(), d.PG, d.Placement, prog, stB, opt, iterations, ci)
 	if err != nil {
 		return nil, err
 	}
@@ -621,36 +619,4 @@ func WriteCascade(w io.Writer, res *CascadeResult) {
 	fmt.Fprintf(w, "iterations: %d   V_k (k>=2) ratio: %.1f%%   d_min: %d\n", res.Iterations, res.VkRatioPct, res.MinDiameter)
 	fmt.Fprintf(w, "response:  plain %.3f s   cascaded %.3f s   saving %.1f%%\n", res.PlainSec, res.CascadedSec, res.TimeSavingPct)
 	fmt.Fprintf(w, "disk I/O:  plain %.2f MB  cascaded %.2f MB  saving %.1f%%\n", res.PlainDiskMB, res.CascadedDiskMB, res.DiskSavingPct)
-}
-
-// nrProgramFor builds the NR propagation program outside the apps package
-// (the cascade study needs direct state control).
-func nrProgramFor(g *graph.Graph) propagation.Program[float64] {
-	return &cascNR{g: g, n: float64(g.NumVertices())}
-}
-
-type cascNR struct {
-	g *graph.Graph
-	n float64
-}
-
-func (p *cascNR) Init(graph.VertexID) float64 { return 1 / p.n }
-func (p *cascNR) Transfer(src graph.VertexID, rank float64, dst graph.VertexID, emit propagation.Emit[float64]) {
-	emit(dst, rank*0.85/float64(p.g.OutDegree(src)))
-}
-func (p *cascNR) Combine(_ graph.VertexID, _ float64, values []float64) float64 {
-	sum := 0.0
-	for _, r := range values {
-		sum += r
-	}
-	return sum + 0.15/p.n
-}
-func (p *cascNR) Bytes(float64) int64 { return 8 }
-func (p *cascNR) Associative() bool   { return true }
-func (p *cascNR) Merge(_ graph.VertexID, values []float64) float64 {
-	sum := 0.0
-	for _, r := range values {
-		sum += r
-	}
-	return sum
 }

@@ -54,16 +54,14 @@ func foldMetrics(events []trace.Event) engine.Metrics {
 // drain, the Metrics a run returns equal the fold of the events it
 // emitted — the counters exactly, MachineSeconds to float rounding.
 func TestMetricsEqualStreamFold(t *testing.T) {
-	d, err := NewDeployment(Scale{Vertices: 1024, Levels: 3, Machines: 8, Seed: 7}, cluster.NewT1(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := Scale{Vertices: 1024, Levels: 3, Machines: 8, Seed: 7}
+	g, topo := base.MakeGraph(), cluster.NewT1(8)
 	primitives := []struct {
 		name string
-		run  func(apps.App) (engine.Metrics, error)
+		run  func(*Deployment, apps.App) (engine.Metrics, error)
 	}{
-		{"propagation", func(a apps.App) (engine.Metrics, error) { return d.RunApp(a, O4) }},
-		{"mapreduce", d.RunAppMR},
+		{"propagation", func(d *Deployment, a apps.App) (engine.Metrics, error) { return d.RunApp(a, O4) }},
+		{"mapreduce", (*Deployment).RunAppMR},
 	}
 	// Schedules are laid over the fault-free response time of each run.
 	schedules := []struct {
@@ -88,11 +86,15 @@ func TestMetricsEqualStreamFold(t *testing.T) {
 		}},
 	}
 	seen := make(map[string]engine.Metrics)
-	check := func(name string, run func() (engine.Metrics, error)) engine.Metrics {
+	check := func(name string, s Scale, app apps.App, run func(*Deployment, apps.App) (engine.Metrics, error)) engine.Metrics {
 		t.Helper()
 		rec := trace.NewRecorder()
-		d.Scale.Trace = rec
-		m, err := run()
+		s.Trace = rec
+		d, err := NewDeploymentFor(s, topo, g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m, err := run(d, app)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -107,16 +109,14 @@ func TestMetricsEqualStreamFold(t *testing.T) {
 		seen[name] = m
 		return m
 	}
-	base := d.Scale
 	for _, app := range apps.All() {
 		for _, p := range primitives {
-			d.Scale = base
 			name := app.Name() + "/" + p.name
-			horizon := check(name, func() (engine.Metrics, error) { return p.run(app) }).ResponseSeconds
+			horizon := check(name, base, app, p.run).ResponseSeconds
 			for _, sc := range schedules {
-				d.Scale = base
-				sc.apply(&d.Scale, horizon)
-				check(name+"/"+sc.name, func() (engine.Metrics, error) { return p.run(app) })
+				s := base
+				sc.apply(&s, horizon)
+				check(name+"/"+sc.name, s, app, p.run)
 			}
 		}
 	}

@@ -13,12 +13,12 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/propagation"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -102,22 +102,14 @@ func (o OptLevel) BandwidthAwareLayout() bool { return o == O2 || o == O4 }
 // LocalOpts reports whether local propagation and combination are enabled.
 func (o OptLevel) LocalOpts() bool { return o == O3 || o == O4 }
 
-// Deployment is a partitioned graph with both placements precomputed, so
-// the four optimization levels can run against identical partitions.
+// Deployment is a core.System — partitioned by the shared bisection
+// kernel, placed by the machine-graph sketch, replicated — plus the
+// bandwidth-oblivious placement of the same partitions, so the four
+// optimization levels run against identical partitions.
 type Deployment struct {
-	Scale Scale
-	Graph *graph.Graph
-	PG    *storage.PartitionedGraph
-	Sk    *partition.Sketch
-	Topo  *cluster.Topology
-	// PlacePM is the bandwidth-oblivious (random) placement; PlaceBA the
-	// sketch-guided one.
+	*core.System
+	// PlacePM is the balanced random placement O1/O3 and MapReduce use.
 	PlacePM *partition.Placement
-	PlaceBA *partition.Placement
-	// Replicas is the three-way replica layout over the sketch-guided
-	// placement: the failover targets for machine deaths and the backup
-	// hosts for speculative re-execution.
-	Replicas *storage.Replicas
 }
 
 // NewDeployment partitions the scale's graph once and derives both
@@ -130,37 +122,16 @@ func NewDeployment(s Scale, topo *cluster.Topology) (*Deployment, error) {
 // NewDeploymentFor is NewDeployment with a caller-provided graph (so sweeps
 // can reuse one partitioning across topologies).
 func NewDeploymentFor(s Scale, topo *cluster.Topology, g *graph.Graph) (*Deployment, error) {
-	pt, sk := partition.RecursiveBisect(g, s.Levels, partition.Options{Seed: s.Seed})
-	pg, err := storage.Build(g, pt)
+	sys, err := core.Build(core.Config{
+		Graph: g, Topology: topo, Levels: s.Levels, Seed: s.Seed,
+		Workers: s.Workers, Trace: s.Trace,
+		Failures: s.Failures, HeartbeatInterval: s.Heartbeat,
+		Faults: s.Faults, Retry: s.Retry, Speculation: s.Speculation,
+	})
 	if err != nil {
 		return nil, err
 	}
-	placeBA := partition.SketchPlacement(sk, topo)
-	d := &Deployment{
-		Scale:    s,
-		Graph:    g,
-		PG:       pg,
-		Sk:       sk,
-		Topo:     topo,
-		PlacePM:  partition.RandomPlacement(pt.P, topo, s.Seed),
-		PlaceBA:  placeBA,
-		Replicas: storage.PlaceReplicas(placeBA, topo, s.Seed),
-	}
-	if err := engine.ValidateFailures(s.Failures, topo, d.Replicas); err != nil {
-		return nil, err
-	}
-	if err := s.Faults.Validate(topo.NumMachines()); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// Placement returns the placement an optimization level uses.
-func (d *Deployment) Placement(o OptLevel) *partition.Placement {
-	if o.BandwidthAwareLayout() {
-		return d.PlaceBA
-	}
-	return d.PlacePM
+	return &Deployment{System: sys, PlacePM: partition.RandomPlacement(sys.PG.Part.P, topo, s.Seed)}, nil
 }
 
 // Options returns the propagation options an optimization level uses.
@@ -171,33 +142,20 @@ func (d *Deployment) Options(o OptLevel) propagation.Options {
 	}
 }
 
-// Runner builds a fresh metrics-clean runner on the deployment's topology.
-// The scale's trace recorder (if any) is shared across runners, so one
-// recorder collects a whole experiment sweep.
-func (d *Deployment) Runner() *engine.Runner {
-	return engine.New(engine.Config{
-		Topo:              d.Topo,
-		Workers:           d.Scale.Workers,
-		Trace:             d.Scale.Trace,
-		Replicas:          d.Replicas,
-		Failures:          d.Scale.Failures,
-		HeartbeatInterval: d.Scale.Heartbeat,
-		Faults:            d.Scale.Faults,
-		Retry:             d.Scale.Retry,
-		Speculation:       d.Scale.Speculation,
-		PartBytes:         d.PG.PartBytes(),
-	})
-}
-
-// RunApp executes one application at one optimization level.
+// RunApp executes one application at one optimization level on a fresh
+// runner: the sketch placement for O2/O4, the random one for O1/O3.
 func (d *Deployment) RunApp(app apps.App, o OptLevel) (engine.Metrics, error) {
-	_, m, err := app.RunPropagation(d.Runner(), d.PG, d.Placement(o), d.Options(o))
+	pl := d.PlacePM
+	if o.BandwidthAwareLayout() {
+		pl = d.Placement
+	}
+	_, m, err := app.RunPropagation(d.NewRunner(), d.PG, pl, d.Options(o))
 	return m, err
 }
 
 // RunAppMR executes one application's MapReduce implementation (always on
 // the bandwidth-oblivious placement: MapReduce is layout-unaware).
 func (d *Deployment) RunAppMR(app apps.App) (engine.Metrics, error) {
-	_, m, err := app.RunMapReduce(d.Runner(), d.PG, d.PlacePM)
+	_, m, err := app.RunMapReduce(d.NewRunner(), d.PG, d.PlacePM)
 	return m, err
 }

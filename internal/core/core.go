@@ -110,38 +110,38 @@ func Build(cfg Config) (*System, error) {
 	if cfg.Graph == nil || cfg.Topology == nil {
 		return nil, fmt.Errorf("core: config requires Graph and Topology")
 	}
+	if cfg.Levels < 0 {
+		return nil, fmt.Errorf("core: negative level count %d", cfg.Levels)
+	}
+	if cfg.Topology.NumMachines() == 0 {
+		return nil, fmt.Errorf("core: topology %s has no machines", cfg.Topology.Name())
+	}
 	levels := cfg.Levels
 	if levels == 0 && cfg.MemoryBudget > 0 {
 		levels, _ = partition.ChoosePartitionCount(cfg.Graph.SizeBytes(), cfg.MemoryBudget)
 	}
-	sys := &System{Graph: cfg.Graph, Topology: cfg.Topology, cfg: cfg}
+	var res *partition.Result
 	switch cfg.Strategy {
-	case StrategyBandwidthAware:
-		res := partition.BandwidthAware(cfg.Graph, cfg.Topology, levels, partition.Options{Seed: cfg.Seed})
-		sys.Sketch, sys.Placement, sys.Steps = res.Sketch, res.Placement, res.Steps
-		pg, err := storage.Build(cfg.Graph, res.Partitioning)
-		if err != nil {
-			return nil, err
+	case StrategyBandwidthAware, StrategyParMetis:
+		pt, sk := partition.RecursiveBisect(cfg.Graph, levels, partition.Options{Seed: cfg.Seed})
+		if cfg.Strategy == StrategyBandwidthAware {
+			res = partition.SketchLayout(cfg.Graph, pt, sk, cfg.Topology)
+		} else {
+			res = partition.ObliviousLayout(cfg.Graph, pt, sk, cfg.Topology, cfg.Seed+1)
 		}
-		sys.PG = pg
-	case StrategyParMetis:
-		res := partition.ParMetisLike(cfg.Graph, cfg.Topology, levels, partition.Options{Seed: cfg.Seed})
-		sys.Sketch, sys.Placement, sys.Steps = res.Sketch, res.Placement, res.Steps
-		pg, err := storage.Build(cfg.Graph, res.Partitioning)
-		if err != nil {
-			return nil, err
-		}
-		sys.PG = pg
 	case StrategyRandom:
 		pt := partition.Random(cfg.Graph, 1<<levels, cfg.Seed)
-		pg, err := storage.Build(cfg.Graph, pt)
-		if err != nil {
-			return nil, err
-		}
-		sys.PG = pg
-		sys.Placement = partition.RandomPlacement(pt.P, cfg.Topology, cfg.Seed)
+		res = &partition.Result{Partitioning: pt, Placement: partition.RandomPlacement(pt.P, cfg.Topology, cfg.Seed)}
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
+	}
+	pg, err := storage.Build(cfg.Graph, res.Partitioning)
+	if err != nil {
+		return nil, err
+	}
+	sys := &System{
+		Graph: cfg.Graph, Topology: cfg.Topology, PG: pg,
+		Sketch: res.Sketch, Placement: res.Placement, Steps: res.Steps, cfg: cfg,
 	}
 	if err := sys.Placement.Validate(cfg.Topology); err != nil {
 		return nil, err
@@ -159,8 +159,10 @@ func Build(cfg Config) (*System, error) {
 }
 
 // NewRunner creates a fresh engine runner over this system's topology,
-// replicas and failure plan. Each experiment should use its own runner so
-// clocks and metrics start at zero.
+// replicas, partition sizes (the bytes a drain migrates) and the configured
+// failure, fault, trace and worker settings. It is the one place a
+// deployment's runner is configured. Each experiment should use its own
+// runner so clocks and metrics start at zero.
 func (s *System) NewRunner() *engine.Runner {
 	return engine.New(engine.Config{
 		Topo:              s.Topology,
@@ -172,26 +174,9 @@ func (s *System) NewRunner() *engine.Runner {
 		Faults:            s.cfg.Faults,
 		Retry:             s.cfg.Retry,
 		Speculation:       s.cfg.Speculation,
+		PartBytes:         s.PG.PartBytes(),
 	})
 }
-
-// Trace reports the configured trace recorder (nil when tracing is off).
-func (s *System) Trace() *trace.Recorder { return s.cfg.Trace }
-
-// Workers reports the configured compute worker count (0 = GOMAXPROCS).
-func (s *System) Workers() int { return s.cfg.Workers }
-
-// Failures reports the configured machine-death plan.
-func (s *System) Failures() []engine.Failure { return s.cfg.Failures }
-
-// Faults reports the configured transient-fault schedule (nil when unset).
-func (s *System) Faults() *fault.Schedule { return s.cfg.Faults }
-
-// Retry reports the configured dropped-transfer retry policy.
-func (s *System) Retry() fault.RetryPolicy { return s.cfg.Retry }
-
-// Speculation reports the configured speculative-execution policy.
-func (s *System) Speculation() fault.SpeculationPolicy { return s.cfg.Speculation }
 
 // PartitioningTime estimates the elapsed time of the distributed
 // partitioning run itself under the given cost model (Table 1). It returns

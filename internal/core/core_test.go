@@ -214,3 +214,24 @@ func TestStrategyStrings(t *testing.T) {
 		t.Fatal("unknown strategy must still stringify")
 	}
 }
+
+// TestBuildRejectsBadSizes: sizes a CLI passes through unchecked are Build
+// errors, not panics deep in the partitioner.
+func TestBuildRejectsBadSizes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"negative levels", func(c *Config) { c.Levels = -1 }},
+		{"no machines", func(c *Config) { c.Topology = cluster.NewT1(0) }},
+		{"no machines t3", func(c *Config) { c.Topology = cluster.NewT3(0, 1) }},
+	} {
+		for _, strat := range []PartitionStrategy{StrategyBandwidthAware, StrategyParMetis, StrategyRandom} {
+			cfg := testConfig(1, strat)
+			c.mutate(&cfg)
+			if _, err := Build(cfg); err == nil {
+				t.Errorf("%s/%v: Build succeeded", c.name, strat)
+			}
+		}
+	}
+}

@@ -354,3 +354,40 @@ func TestRerouteKeepsPinWhenNothingAccepts(t *testing.T) {
 		t.Fatalf("pins not kept: %v", got)
 	}
 }
+
+// TestSummarizeFilesInterleavedJobs: on a service capture, where concurrent
+// jobs interleave their events, the breakdown files every task and transfer
+// under its own job and stage — none lands in an "(untracked)" row, and each
+// job's task count matches its task-end events.
+func TestSummarizeFilesInterleavedJobs(t *testing.T) {
+	rec := trace.NewRecorder()
+	if _, err := Run(Config{Topo: testTopo(), Policy: Fair, Concurrency: 2, Trace: rec}, realWorkload(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]int)
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindTaskEnd {
+			want[ev.Job]++
+		}
+	}
+	got := make(map[string]int)
+	for _, jb := range trace.Summarize(rec.Events()).Jobs {
+		for _, sb := range jb.Stages {
+			for _, mb := range sb.Machines {
+				if jb.Name == "(untracked)" || sb.Name == "(untracked)" {
+					t.Errorf("job %s stage %s: machine %d work filed untracked (tasks=%d transfers=%d)",
+						jb.Name, sb.Name, mb.Machine, mb.TasksRun, mb.Transfers)
+				}
+				got[jb.Name] += mb.TasksRun
+			}
+		}
+	}
+	if len(want) < 2 {
+		t.Fatalf("capture holds %d jobs", len(want))
+	}
+	for job, n := range want {
+		if got[job] != n {
+			t.Errorf("job %s: breakdown counts %d tasks, stream has %d task-ends", job, got[job], n)
+		}
+	}
+}

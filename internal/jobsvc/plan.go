@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -42,19 +44,19 @@ type Planner struct {
 	cache map[string][]*engine.Job
 }
 
-// NewPlanner partitions the graph and places it on the topology.
+// NewPlanner deploys the graph on the topology (core.Build: the shared
+// bisection kernel and the sketch placement) and plans against it.
 func NewPlanner(cfg PlannerConfig) (*Planner, error) {
 	if cfg.Graph == nil || cfg.Topo == nil {
 		return nil, fmt.Errorf("jobsvc: planner needs a graph and a topology")
 	}
-	pt, sk := partition.RecursiveBisect(cfg.Graph, cfg.Levels, partition.Options{Seed: cfg.Seed})
-	pg, err := storage.Build(cfg.Graph, pt)
+	sys, err := core.Build(core.Config{Graph: cfg.Graph, Topology: cfg.Topo, Levels: cfg.Levels, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
 	return &Planner{
-		pg:    pg,
-		pl:    partition.SketchPlacement(sk, cfg.Topo),
+		pg:    sys.PG,
+		pl:    sys.Placement,
 		pool:  engine.NewPool(cfg.Workers),
 		opt:   propagation.Options{LocalPropagation: true, LocalCombination: true},
 		cache: make(map[string][]*engine.Job),
@@ -73,7 +75,7 @@ func (p *Planner) Plan(spec JobSpec) ([]*engine.Job, error) {
 	)
 	switch spec.App {
 	case "rank":
-		prog := &rankProg{g: p.pg.G, n: float64(p.pg.G.NumVertices())}
+		prog := apps.NewNRProgram(p.pg.G)
 		st := propagation.NewState(p.pg, prog)
 		jobs, _, err = propagation.PlanIterations(p.pool, p.pg, p.pl, prog, st, p.opt, spec.Iterations, "rank")
 	case "reach":
@@ -101,38 +103,6 @@ func (p *Planner) Jobs(wl *Workload) ([]Job, error) {
 		jobs = append(jobs, Job{Spec: spec, Plan: plan})
 	}
 	return jobs, nil
-}
-
-// rankProg is PageRank-shaped network ranking: transfer sends
-// rank·d/outdegree along each edge, combine sums and adds the random-jump
-// term — the canonical propagation workload.
-type rankProg struct {
-	g *graph.Graph
-	n float64
-}
-
-func (p *rankProg) Init(graph.VertexID) float64 { return 1 / p.n }
-
-func (p *rankProg) Transfer(src graph.VertexID, rank float64, dst graph.VertexID, emit propagation.Emit[float64]) {
-	emit(dst, rank*0.85/float64(p.g.OutDegree(src)))
-}
-
-func (p *rankProg) Combine(_ graph.VertexID, _ float64, values []float64) float64 {
-	sum := 0.0
-	for _, r := range values {
-		sum += r
-	}
-	return sum + 0.15/p.n
-}
-
-func (p *rankProg) Bytes(float64) int64 { return 8 }
-func (p *rankProg) Associative() bool   { return true }
-func (p *rankProg) Merge(_ graph.VertexID, values []float64) float64 {
-	sum := 0.0
-	for _, r := range values {
-		sum += r
-	}
-	return sum
 }
 
 // reachProg is min-label propagation (connected-component style

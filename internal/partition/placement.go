@@ -56,97 +56,43 @@ type Result struct {
 // realizes the three design principles P1–P3 of §4.1: sibling partitions in
 // the sketch (many mutual cross edges, by proximity) land on machine sets
 // with high mutual bandwidth.
+//
+// The data-graph bisection is the shared RecursiveBisect kernel, so the
+// partitioning and sketch are exactly the bandwidth-oblivious ones; the
+// machine-graph side is SketchPlacement, and SketchLayout records the
+// cost-model steps of the lockstep recursion.
 func BandwidthAware(g *graph.Graph, topo *cluster.Topology, levels int, opt Options) *Result {
-	und := g.Undirected()
-	n := g.NumVertices()
-	all := make([]graph.VertexID, n)
-	for i := range all {
-		all[i] = graph.VertexID(i)
-	}
-	res := &Result{
-		Partitioning: &Partitioning{Assign: make([]PartID, n), P: 1 << levels},
-		Sketch:       newSketch(levels),
-		Placement:    &Placement{MachineOf: make([]cluster.MachineID, 1<<levels)},
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	mg := cluster.NewMachineGraph(topo)
-	baPart(und, g, all, mg, 0, levels, 0, res, rng, newWScratch(n))
-	return res
+	pt, sk := RecursiveBisect(g, levels, opt)
+	return SketchLayout(g, pt, sk, topo)
 }
 
-// baPart is the recursive BAPart(M, G, l) of Algorithm 4.
-func baPart(und, g *graph.Graph, subset []graph.VertexID, mg *cluster.MachineGraph, depth, levels int, firstPart PartID, res *Result, rng *rand.Rand, sc *wscratch) {
-	res.Sketch.setNode(depth, int(firstPart)>>(levels-depth), subset)
-	if depth == levels {
-		// Algorithm 4 line 7-9: undividable data partition; store it on
-		// the best-connected machine of the remaining machine set.
-		m := mg.BestConnected()
-		for _, v := range subset {
-			res.Partitioning.Assign[v] = firstPart
+// SketchLayout places a sketch-partitioned graph bandwidth-aware
+// (SketchPlacement) and records the distributed-partitioning steps
+// Algorithm 4 performs: each sketch node above the leaves is bisected by
+// the machine set its machine-graph half owns, and a single machine divides
+// the rest of its subtree locally in one step (Algorithm 4 lines 2-5).
+func SketchLayout(g *graph.Graph, pt *Partitioning, sk *Sketch, topo *cluster.Topology) *Result {
+	res := &Result{Partitioning: pt, Sketch: sk, Placement: SketchPlacement(sk, topo)}
+	var walk func(depth, index int, mg *cluster.MachineGraph)
+	walk = func(depth, index int, mg *cluster.MachineGraph) {
+		if depth == sk.Levels() {
+			return
 		}
-		res.Placement.MachineOf[firstPart] = m
-		return
-	}
-	if mg.Size() == 1 {
-		// Algorithm 4 line 2-5: a single machine divides the rest of the
-		// way locally and stores all resulting partitions.
-		m := mg.Machines()[0]
+		subset := sk.Node(depth, index)
 		res.Steps = append(res.Steps, BisectStep{
 			Depth: depth, DataVertices: len(subset),
 			DataEdges: countSubsetEdges(g, subset),
-			Machines:  mg.Machines(), Local: true,
+			Machines:  mg.Machines(), Local: mg.Size() == 1,
 		})
-		localBisect(und, g, subset, depth, levels, firstPart, m, res, rng, sc)
-		return
-	}
-
-	// Bisect the data graph with the machines in M (cost recorded), and
-	// the machine graph with the local algorithm.
-	res.Steps = append(res.Steps, BisectStep{
-		Depth: depth, DataVertices: len(subset),
-		DataEdges: countSubsetEdges(g, subset),
-		Machines:  mg.Machines(),
-	})
-	w, toGlobal := newWorkGraphScratch(und, subset, sc)
-	side := bisectWork(w, rng)
-	var left, right []graph.VertexID
-	for i, s := range side {
-		if s == 0 {
-			left = append(left, toGlobal[i])
-		} else {
-			right = append(right, toGlobal[i])
+		if mg.Size() == 1 {
+			return
 		}
+		m1, m2 := mg.Bisect()
+		walk(depth+1, 2*index, m1)
+		walk(depth+1, 2*index+1, m2)
 	}
-	m1, m2 := mg.Bisect()
-	half := PartID(1 << (levels - depth - 1))
-	baPart(und, g, left, m1, depth+1, levels, firstPart, res, rng, sc)
-	baPart(und, g, right, m2, depth+1, levels, firstPart+half, res, rng, sc)
-}
-
-// localBisect finishes the recursion on a single machine: it keeps bisecting
-// the data graph (recording sketch nodes) and maps every leaf to machine m.
-func localBisect(und, g *graph.Graph, subset []graph.VertexID, depth, levels int, firstPart PartID, m cluster.MachineID, res *Result, rng *rand.Rand, sc *wscratch) {
-	res.Sketch.setNode(depth, int(firstPart)>>(levels-depth), subset)
-	if depth == levels {
-		for _, v := range subset {
-			res.Partitioning.Assign[v] = firstPart
-		}
-		res.Placement.MachineOf[firstPart] = m
-		return
-	}
-	w, toGlobal := newWorkGraphScratch(und, subset, sc)
-	side := bisectWork(w, rng)
-	var left, right []graph.VertexID
-	for i, s := range side {
-		if s == 0 {
-			left = append(left, toGlobal[i])
-		} else {
-			right = append(right, toGlobal[i])
-		}
-	}
-	half := PartID(1 << (levels - depth - 1))
-	localBisect(und, g, left, depth+1, levels, firstPart, m, res, rng, sc)
-	localBisect(und, g, right, depth+1, levels, firstPart+half, m, res, rng, sc)
+	walk(0, 0, cluster.NewMachineGraph(topo))
+	return res
 }
 
 // ParMetisLike runs the same multilevel recursive bisection on the data
@@ -157,8 +103,15 @@ func localBisect(und, g *graph.Graph, subset []graph.VertexID, depth, levels int
 // ("randomly chooses the available machine for processing", §6.2).
 func ParMetisLike(g *graph.Graph, topo *cluster.Topology, levels int, opt Options) *Result {
 	pt, sk := RecursiveBisect(g, levels, opt)
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	res := &Result{Partitioning: pt, Sketch: sk, Placement: RandomPlacement(pt.P, topo, opt.Seed+1)}
+	return ObliviousLayout(g, pt, sk, topo, opt.Seed+1)
+}
+
+// ObliviousLayout places a sketch-partitioned graph the bandwidth-oblivious
+// way (RandomPlacement) and records the steps of a recursion that hands
+// each half to a random machine subset; seed drives both choices.
+func ObliviousLayout(g *graph.Graph, pt *Partitioning, sk *Sketch, topo *cluster.Topology, seed int64) *Result {
+	rng := rand.New(rand.NewSource(seed))
+	res := &Result{Partitioning: pt, Sketch: sk, Placement: RandomPlacement(pt.P, topo, seed)}
 
 	// Cost-model steps: the recursion assigns random machine subsets of
 	// the same sizes the bandwidth-aware version would use.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -63,10 +64,17 @@ func ReadCheckpoint(r io.Reader) (iteration int, payload []byte, err error) {
 	if hdr[3] > maxPayload {
 		return 0, nil, fmt.Errorf("storage: implausible checkpoint payload of %d bytes", hdr[3])
 	}
-	payload = make([]byte, hdr[3])
-	if _, err := io.ReadFull(br, payload); err != nil {
+	// The buffer grows as payload bytes actually arrive, so a header lying
+	// about its length fails after at most one slab of over-allocation.
+	var buf bytes.Buffer
+	buf.Grow(int(min(hdr[3], 1<<20)))
+	if n, err := io.CopyN(&buf, br, int64(hdr[3])); err != nil {
+		if err == io.EOF && n > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, fmt.Errorf("storage: reading checkpoint payload: %w", err)
 	}
+	payload = buf.Bytes()
 	if got := crc32.ChecksumIEEE(payload); got != hdr[4] {
 		return 0, nil, fmt.Errorf("storage: checkpoint payload checksum %#x does not match header %#x", got, hdr[4])
 	}

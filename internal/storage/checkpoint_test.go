@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -93,5 +94,24 @@ func TestFailoverReplicaExhaustionNamesPartition(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "3 replicas") {
 		t.Fatalf("error %q does not state the replica count", err)
+	}
+}
+
+// oversizedCheckpoint is a bare 20-byte checkpoint header whose length word
+// claims 1<<31 payload bytes that never follow.
+var oversizedCheckpoint = []byte("SRFC\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00")
+
+// TestReadCheckpointAllocatesByInput: a header that lies about its payload
+// length must fail without allocating what it claims.
+func TestReadCheckpointAllocatesByInput(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadCheckpoint(bytes.NewReader(oversizedCheckpoint))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated checkpoint accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Fatalf("reading a 20-byte header allocated %d MB", alloc>>20)
 	}
 }

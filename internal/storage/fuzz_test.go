@@ -48,3 +48,26 @@ func FuzzReadPartition(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadCheckpoint hardens the checkpoint decoder: any input yields an
+// error or a payload that is exactly the bytes after the header, and the
+// committed corpus replays the 20-byte header claiming a 2 GB payload,
+// which once allocated 2 GB before failing.
+func FuzzReadCheckpoint(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, 3, []byte("state bytes")); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-4])
+	f.Add(oversizedCheckpoint)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, payload, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(payload, data[20:20+len(payload)]) {
+			t.Fatalf("payload %q is not the input after the header", payload)
+		}
+	})
+}

@@ -1,6 +1,9 @@
 package trace
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Breakdown is the hierarchical metrics view of a trace: per job, per
 // stage, per machine. It is computed from the event stream alone
@@ -120,58 +123,116 @@ func (sb *StageBreakdown) machine(id int) *MachineBreakdown {
 	return mb
 }
 
+// JobLabels names the job occurrence each event belongs to. Scope comes
+// from the event's own Job field, never from the job that began last: a
+// multi-tenant stream interleaves the events of concurrent jobs. A
+// job-begin opens a new occurrence of its name, and later events naming the
+// job belong to that occurrence. A name that begins more than once is
+// labelled "name#k" for its k-th occurrence (repeated `mapreduce`
+// submissions stay distinguishable); events naming no job get "", and
+// events preceding their job's first begin get the bare name.
+func JobLabels(events []Event) []string {
+	begins := make(map[string]int)
+	for i := range events {
+		if events[i].Kind == KindJobBegin {
+			begins[events[i].Job]++
+		}
+	}
+	labels := make([]string, len(events))
+	seen := make(map[string]int)
+	alias := make(map[string]string)
+	for i := range events {
+		ev := &events[i]
+		if ev.Kind == KindJobBegin {
+			seen[ev.Job]++
+			if begins[ev.Job] > 1 {
+				alias[ev.Job] = fmt.Sprintf("%s#%d", ev.Job, seen[ev.Job])
+			} else {
+				alias[ev.Job] = ev.Job
+			}
+		}
+		if label, ok := alias[ev.Job]; ok {
+			labels[i] = label
+		} else {
+			labels[i] = ev.Job
+		}
+	}
+	return labels
+}
+
 // Summarize folds an event stream into the job → stage → machine hierarchy.
-// Events outside any job or stage context (there are none in engine-emitted
-// streams) are gathered under a synthetic "(untracked)" job/stage.
+// Each event is filed under its own job occurrence (JobLabels) and, within
+// it, the latest occurrence of its own stage. Events of a job or stage that
+// never began are gathered under a synthetic "(untracked)" job or stage.
 func Summarize(events []Event) *Breakdown {
 	b := &Breakdown{}
-	var job *JobBreakdown
-	var stage *StageBreakdown
-	ensure := func() *StageBreakdown {
-		if job == nil {
-			job = &JobBreakdown{Name: "(untracked)"}
-			b.Jobs = append(b.Jobs, job)
+	labels := JobLabels(events)
+	type stageKey struct {
+		job   *JobBreakdown
+		stage string
+	}
+	jobs := make(map[string]*JobBreakdown)
+	stages := make(map[stageKey]*StageBreakdown)
+	var untracked *JobBreakdown
+	jobOf := func(i int) *JobBreakdown {
+		if jb := jobs[labels[i]]; jb != nil {
+			return jb
 		}
-		if stage == nil {
-			stage = &StageBreakdown{Name: "(untracked)"}
-			job.Stages = append(job.Stages, stage)
+		if untracked == nil {
+			untracked = &JobBreakdown{Name: "(untracked)"}
+			b.Jobs = append(b.Jobs, untracked)
 		}
-		return stage
+		return untracked
+	}
+	stageOf := func(i int) *StageBreakdown {
+		jb := jobOf(i)
+		if sb := stages[stageKey{jb, events[i].Stage}]; sb != nil {
+			return sb
+		}
+		key := stageKey{jb, "(untracked)"}
+		sb := stages[key]
+		if sb == nil {
+			sb = &StageBreakdown{Name: "(untracked)"}
+			jb.Stages = append(jb.Stages, sb)
+			stages[key] = sb
+		}
+		return sb
 	}
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
 		case KindJobBegin:
-			job = &JobBreakdown{Name: ev.Job, Begin: ev.Time, End: ev.Time}
-			stage = nil
-			b.Jobs = append(b.Jobs, job)
+			jb := &JobBreakdown{Name: ev.Job, Begin: ev.Time, End: ev.Time}
+			jobs[labels[i]] = jb
+			b.Jobs = append(b.Jobs, jb)
 		case KindJobEnd:
-			if job != nil {
-				job.End = ev.Time
+			if jb := jobs[labels[i]]; jb != nil {
+				jb.End = ev.Time
 			}
-			stage = nil
 		case KindStageBegin:
-			if job == nil {
-				ensure()
-			}
-			stage = &StageBreakdown{Name: ev.Stage, Begin: ev.Time, End: ev.Time}
-			job.Stages = append(job.Stages, stage)
+			jb := jobOf(i)
+			sb := &StageBreakdown{Name: ev.Stage, Begin: ev.Time, End: ev.Time}
+			jb.Stages = append(jb.Stages, sb)
+			stages[stageKey{jb, ev.Stage}] = sb
 		case KindStageEnd:
-			if stage != nil {
-				stage.End = ev.Time
+			jb := jobs[labels[i]]
+			if jb == nil {
+				jb = untracked
 			}
-			stage = nil
+			if sb := stages[stageKey{jb, ev.Stage}]; sb != nil {
+				sb.End = ev.Time
+			}
 		case KindTaskEnd:
-			mb := ensure().machine(ev.Machine)
+			mb := stageOf(i).machine(ev.Machine)
 			mb.ComputeSeconds += ev.End - ev.Start
 			mb.TasksRun++
 		case KindTaskLost:
-			ensure().machine(ev.Machine).TasksLost++
+			stageOf(i).machine(ev.Machine).TasksLost++
 		case KindTransfer, KindPartitionMigrate:
 			// Migration bytes are counted like transfers: they occupy the
 			// same NICs and sum into Metrics.NetworkBytes, so the
 			// egress/ingress reconciliation invariant holds on elastic runs.
-			sb := ensure()
+			sb := stageOf(i)
 			src := sb.machine(ev.Machine)
 			dst := sb.machine(ev.Dst)
 			dur := ev.End - ev.Start
@@ -189,17 +250,17 @@ func Summarize(events []Event) *Breakdown {
 				dst.IncastStallSeconds += ev.Stall
 			}
 		case KindFailure:
-			ensure().machine(ev.Machine).Failed = true
+			stageOf(i).machine(ev.Machine).Failed = true
 		case KindRetry:
-			ensure().machine(ev.Machine).Retries++
+			stageOf(i).machine(ev.Machine).Retries++
 		case KindTransferDrop:
-			mb := ensure().machine(ev.Machine)
+			mb := stageOf(i).machine(ev.Machine)
 			mb.TransferDrops++
 			mb.DropStallSeconds += ev.End - ev.Start
 		case KindTransferRetry:
-			ensure().machine(ev.Machine).TransferRetries++
+			stageOf(i).machine(ev.Machine).TransferRetries++
 		case KindSpeculate:
-			ensure().machine(ev.Machine).Speculations++
+			stageOf(i).machine(ev.Machine).Speculations++
 		case KindCheckpoint:
 			b.Checkpoints++
 			b.CheckpointJobs = append(b.CheckpointJobs, ev.Job)

@@ -207,7 +207,7 @@ type CheckpointConfig = propagation.CheckpointConfig
 
 // TraceRecorder collects the structured event stream of traced runs. A nil
 // recorder is valid and disables tracing at zero cost; set one on
-// Config.Trace (or SchedulerConfig.Trace / bench.Scale.Trace) to record.
+// Config.Trace (or bench.Scale.Trace) to record.
 // The stream is identical for every Workers value — see docs/METRICS.md.
 type TraceRecorder = trace.Recorder
 
@@ -335,22 +335,12 @@ const (
 	ScheduleFair = scheduler.Fair
 )
 
-// NewScheduler creates a job scheduler over a system's cluster. The
-// scheduler's runner inherits the system's Workers setting, so compute
-// parallelism follows the deployment configuration, and its trace recorder
-// (Config.Trace), so scheduled jobs appear in the same timeline.
+// NewScheduler creates a job scheduler over a system's cluster. Its shared
+// runner is the system's own (System.NewRunner), so scheduled jobs run with
+// the deployment's replicas, failure plan, heartbeat, faults, workers and
+// trace recorder exactly as a direct run would.
 func NewScheduler(sys *System, policy scheduler.Policy) *Scheduler {
-	return scheduler.New(scheduler.Config{
-		Topo:        sys.Topology,
-		Replicas:    sys.Replicas,
-		Failures:    sys.Failures(),
-		Policy:      policy,
-		Workers:     sys.Workers(),
-		Trace:       sys.Trace(),
-		Faults:      sys.Faults(),
-		Retry:       sys.Retry(),
-		Speculation: sys.Speculation(),
-	})
+	return scheduler.New(scheduler.Config{Runner: sys.NewRunner(), Policy: policy})
 }
 
 // ----------------------------------------------------------- diagnostics
